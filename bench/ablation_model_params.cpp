@@ -99,26 +99,8 @@ void sweep_rebuild() {
 
 }  // namespace
 
-void sweep_staging() {
-  std::printf("\n(d) fused-kernel staging: two table walks vs row-cache (one walk)\n");
-  std::printf("%14s %18s %18s\n", "system", "2-walk us/atom", "cached us/atom");
-  print_rule(54);
-  for (const char* which : {"water", "copper"}) {
-    auto w = which[0] == 'w' ? water_workload(0.01, false) : copper_workload(0.01, false);
-    dp::fused::FusedDP two_walk(w->tabulated, {.cache_rows = false});
-    dp::fused::FusedDP cached(w->tabulated, {.cache_rows = true});
-    const double t2 = time_force_eval(two_walk, *w);
-    const double t1 = time_force_eval(cached, *w);
-    const double n = static_cast<double>(w->sys.atoms.size());
-    std::printf("%14s %18.3f %18.3f\n", which, t2 / n * 1e6, t1 / n * 1e6);
-  }
-  std::printf("expected: caching trades O(N_m x M) per-thread scratch for half the\n"
-              "table walks — it wins when table lookups dominate (fine intervals,\n"
-              "cold caches), and loses nothing here since the scratch stays in L2.\n");
-}
-
 void sweep_descriptor() {
-  std::printf("\n(e) descriptor flavor: se_a (paper) vs radial se_r\n");
+  std::printf("\n(d) descriptor flavor: se_a (paper) vs radial se_r\n");
   std::printf("%8s %14s %16s\n", "kind", "descr. dim", "us/step/atom");
   print_rule(42);
   for (int kind = 0; kind < 2; ++kind) {
@@ -153,7 +135,6 @@ int main() {
   sweep_d1();
   sweep_axis_neuron();
   sweep_rebuild();
-  sweep_staging();
   sweep_descriptor();
   return 0;
 }

@@ -37,7 +37,7 @@ void run_system(const char* label, Workload& w, dp::obs::MetricsRegistry& reg) {
     steps.push_back({"baseline (Ref [20])", time_force_eval(ff, w), ff.embedding_bytes()});
   }
   {
-    dp::tab::CompressedDP ff(w.tabulated, false, dp::core::EnvMatKernel::Baseline);
+    dp::tab::CompressedDP ff(w.tabulated, dp::core::EnvMatKernel::Baseline);
     steps.push_back({"+ tabulation of embedding net", time_force_eval(ff, w),
                      ff.embedding_bytes()});
   }

@@ -32,15 +32,14 @@ void run_system(const char* label, Workload& w) {
     steps.push_back({"baseline (flat MPI, network)", time_force_eval(ff, w)});
   }
   {
-    // Tabulation with the SVE-friendly blocked coefficient layout.
-    dp::tab::CompressedDP ff(w.tabulated, /*use_blocked_layout=*/true,
-                             dp::core::EnvMatKernel::Baseline);
+    // Tabulation (the SVE-friendly blocked coefficient layout is the only
+    // production walk).
+    dp::tab::CompressedDP ff(w.tabulated, dp::core::EnvMatKernel::Baseline);
     steps.push_back({"+ tabulation (blocked layout)", time_force_eval(ff, w)});
   }
   {
     dp::fused::FusedDP ff(w.tabulated,
                           {.skip_padding = true,
-                           .blocked_table = true,
                            .env_kernel = dp::core::EnvMatKernel::Baseline});
     steps.push_back({"+ fusion + redundancy removal", time_force_eval(ff, w)});
   }
@@ -50,7 +49,6 @@ void run_system(const char* label, Workload& w) {
     w.model.set_activation(dp::nn::Activation::TanhTabulated);
     dp::fused::FusedDP ff(w.tabulated,
                           {.skip_padding = true,
-                           .blocked_table = true,
                            .env_kernel = dp::core::EnvMatKernel::Optimized});
     steps.push_back({"+ vectorized ops + tanh table", time_force_eval(ff, w)});
     w.model.set_activation(dp::nn::Activation::Tanh);

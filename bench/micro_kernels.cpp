@@ -44,20 +44,33 @@ void BM_Affine_FittingLayer(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * k * n));
 }
 
+// Each iteration walks one run of kRun s values, stepping 0.001 through the
+// table domain: slot by slot through the AoS layout vs in one batched call
+// through the blocked layout — the Sec 3.5.1 layout ablation.
+constexpr std::size_t kRun = 64;
+
+void next_run(double& s, std::vector<double>& run) {
+  for (double& v : run) {
+    s += 0.001;
+    if (s > 1.99) s = 0.001;
+    v = s;
+  }
+}
+
 void BM_Poly5TableAoS(benchmark::State& state) {
   dp::nn::EmbeddingNet net({32, 64, 128});
   dp::Rng rng(6);
   net.init_random(rng);
   dp::tab::TabulatedEmbedding table(net, {0.0, 2.0, 0.01});
-  std::vector<double> g(128), dg(128);
+  std::vector<double> run(kRun), g(kRun * 128), dg(kRun * 128);
   double s = 0.0;
   for (auto _ : state) {
-    s += 0.001;
-    if (s > 1.99) s = 0.001;
-    table.eval_with_deriv(s, g.data(), dg.data());
+    next_run(s, run);
+    for (std::size_t k = 0; k < kRun; ++k)
+      table.eval_with_deriv(run[k], g.data() + k * 128, dg.data() + k * 128);
     benchmark::DoNotOptimize(g.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 128));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kRun * 128));
 }
 
 void BM_Poly5TableBlocked(benchmark::State& state) {
@@ -65,15 +78,14 @@ void BM_Poly5TableBlocked(benchmark::State& state) {
   dp::Rng rng(6);
   net.init_random(rng);
   dp::tab::TabulatedEmbedding table(net, {0.0, 2.0, 0.01});
-  std::vector<double> g(128), dg(128);
+  std::vector<double> run(kRun), g(kRun * 128), dg(kRun * 128);
   double s = 0.0;
   for (auto _ : state) {
-    s += 0.001;
-    if (s > 1.99) s = 0.001;
-    table.eval_with_deriv_blocked(s, g.data(), dg.data());
+    next_run(s, run);
+    table.eval_with_deriv_blocked_batch(run.data(), 1, kRun, g.data(), dg.data(), 128);
     benchmark::DoNotOptimize(g.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 128));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kRun * 128));
 }
 
 // Reference network evaluation of one embedding row — what the table

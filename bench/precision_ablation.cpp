@@ -100,11 +100,11 @@ int main() {
       "\nReading: the float tables halve (quarter, for half precision) both the\n"
       "shipped model memory and the coefficient bytes streamed per step, at\n"
       "negligible accuracy cost — the 1/N_m-normalized descriptor keeps\n"
-      "per-slot gradients small, so float noise stays ~1e-10 eV/A here. With\n"
-      "the float-lane batched kernels the narrow tables now also win\n"
-      "wall-clock on wide-SIMD hosts (twice the lanes per instruction); the\n"
-      "full 3x of the paper's mixed-precision baseline still needs the\n"
-      "memory-bound regime of its accelerator (Sec 7).\n");
+      "per-slot gradients small, so float noise stays ~1e-10 eV/A here. All\n"
+      "three widths run the same fused kernel and batched blocked walk, so\n"
+      "while the working set is cache-resident the time stays near the\n"
+      "double path's; the 3x of the paper's mixed-precision baseline needs\n"
+      "the memory-bound regime of its accelerator (Sec 7).\n");
   if (reg.write_json_file("BENCH_mixed.json")) std::printf("wrote BENCH_mixed.json\n");
   return 0;
 }

@@ -18,6 +18,8 @@
 //   * All raw intrinsics are confined to this header (dplint rule
 //     raw-intrinsics); kernels use the dp::simd wrapper ops below, which are
 //     always_inline and carry the same target attribute as their callers.
+//     Lanes<T, L> (end of this header) gathers one level's ops for one
+//     element type, so a kernel is written once and compiled per level.
 //
 // Numerical contract (what the parity suite pins down): at a given level the
 // AoS and blocked table walks use the *same* elementwise operation sequence
@@ -146,42 +148,6 @@ DP_TARGET_AVX2 DP_SIMD_OP double v4_reduce_add(v4d a) {
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 float lane: 8 floats per vector — the mixed-precision table walk and
-// the float contraction kernels move twice the channels per instruction.
-// Same discipline as the double ops: callers are DP_TARGET_AVX2 (or the
-// F16C/AVX-512 supersets), values never cross a non-annotated ABI boundary.
-// ---------------------------------------------------------------------------
-using v8f = __m256;
-
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_set1(float a) { return _mm256_set1_ps(a); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_zero() { return _mm256_setzero_ps(); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_load(const float* p) { return _mm256_load_ps(p); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_loadu(const float* p) { return _mm256_loadu_ps(p); }
-DP_TARGET_AVX2 DP_SIMD_OP void f8_storeu(float* p, v8f a) { _mm256_storeu_ps(p, a); }
-/// Non-temporal store (see v4_stream); requires a 32-byte-aligned p.
-DP_TARGET_AVX2 DP_SIMD_OP void f8_stream(float* p, v8f a) { _mm256_stream_ps(p, a); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_add(v8f a, v8f b) { return _mm256_add_ps(a, b); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_sub(v8f a, v8f b) { return _mm256_sub_ps(a, b); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_mul(v8f a, v8f b) { return _mm256_mul_ps(a, b); }
-/// a * b + c, single rounding.
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_fmadd(v8f a, v8f b, v8f c) { return _mm256_fmadd_ps(a, b, c); }
-/// Horizontal sum, fixed lane order: pairwise 128-bit fold then the same
-/// shuffle tree every time — reproducible, like v4_reduce_add.
-DP_TARGET_AVX2 DP_SIMD_OP float f8_reduce_add(v8f a) {
-  __m128 lo = _mm256_castps256_ps128(a);
-  __m128 hi = _mm256_extractf128_ps(a, 1);
-  __m128 s = _mm_add_ps(lo, hi);                     // {l0+l4, l1+l5, l2+l6, l3+l7}
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));            // {+l2+l6, +l3+l7, ...}
-  return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)));
-}
-/// Widen 8 IEEE binary16 values (stored contiguously) to 8 floats. The
-/// conversion is exact — every half is representable as a float — so the
-/// half table walk matches the scalar static_cast widening bit for bit.
-DP_TARGET_AVX2_F16C DP_SIMD_OP v8f f8_load_h(const void* p) {
-  return _mm256_cvtph_ps(_mm_loadu_si128(static_cast<const __m128i*>(p)));
-}
-
-// ---------------------------------------------------------------------------
 // AVX-512: 8 doubles per vector, 8 x i32 indices, predicate masks. Callers
 // must be annotated DP_TARGET_AVX512.
 // ---------------------------------------------------------------------------
@@ -254,52 +220,126 @@ DP_TARGET_AVX512 DP_SIMD_OP double v8_reduce_add(v8d a) {
   return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
 }
 
-// ---------------------------------------------------------------------------
-// AVX-512 float lane: 16 floats per vector — one vector covers a whole
-// 16-channel table block.
-// ---------------------------------------------------------------------------
-using v16f = __m512;
-
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_set1(float a) { return _mm512_set1_ps(a); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_zero() { return _mm512_setzero_ps(); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_load(const float* p) { return _mm512_load_ps(p); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_loadu(const float* p) { return _mm512_loadu_ps(p); }
-DP_TARGET_AVX512 DP_SIMD_OP void f16_storeu(float* p, v16f a) { _mm512_storeu_ps(p, a); }
-/// Non-temporal store (see v4_stream); requires a 64-byte-aligned p.
-DP_TARGET_AVX512 DP_SIMD_OP void f16_stream(float* p, v16f a) { _mm512_stream_ps(p, a); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_add(v16f a, v16f b) { return _mm512_add_ps(a, b); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_sub(v16f a, v16f b) { return _mm512_sub_ps(a, b); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_mul(v16f a, v16f b) { return _mm512_mul_ps(a, b); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_fmadd(v16f a, v16f b, v16f c) {
-  return _mm512_fmadd_ps(a, b, c);
-}
-/// Horizontal sum, fixed lane order: 256-bit halves fold first, then the
-/// f8_reduce_add tree. Hand-written for the same -Werror=maybe-uninitialized
-/// reason as v8_reduce_add (maskz extract instead of the undefined-merge
-/// compiler expansion; extractf32x8 is AVX512DQ, which the target includes).
-DP_TARGET_AVX512 DP_SIMD_OP float f16_reduce_add(v16f a) {
-  __m256 lo = _mm512_maskz_extractf32x8_ps(static_cast<m8>(0xff), a, 0);
-  __m256 hi = _mm512_maskz_extractf32x8_ps(static_cast<m8>(0xff), a, 1);
-  __m256 s8 = _mm256_add_ps(lo, hi);                 // {l0+l8, l1+l9, ..., l7+l15}
-  __m128 lo2 = _mm256_castps256_ps128(s8);
-  __m128 hi2 = _mm256_extractf128_ps(s8, 1);
-  __m128 s = _mm_add_ps(lo2, hi2);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)));
-}
-/// Widen 16 contiguous IEEE binary16 values to 16 floats (exact; AVX512F).
-/// Maskz form with an all-ones mask: the plain _mm512_cvtph_ps expansion
-/// carries an undefined merge operand that trips -Werror=maybe-uninitialized
-/// on GCC 12 (same story as v8_reduce_add); vcvtph2ps emitted either way.
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_load_h(const void* p) {
-  return _mm512_maskz_cvtph_ps(static_cast<m16>(0xffff),
-                               _mm256_loadu_si256(static_cast<const __m256i*>(p)));
-}
-
 /// Drains the write-combining buffers after a run of v4_stream/v8_stream
 /// stores, so later reads (possibly from another thread, after a barrier)
 /// observe them. sfence is baseline x86-64 — no target attribute needed.
 inline __attribute__((always_inline)) void store_fence() { _mm_sfence(); }
+
+// ---------------------------------------------------------------------------
+// Lane-generic op sets. Lanes<T, L> is the level-L vector of T behind one
+// interface, so a kernel body is written once over `V = Lanes<T, L>` and
+// compiled per level (tab/table_kernels.inc, fused/fused_kernels.inc). Each
+// op carries its level's target attribute and is always_inline like the
+// free wrappers above, so the body instantiating Lanes<T, L> must itself be
+// annotated for level L.
+//
+//   W               lanes per vector
+//   set1, zero      broadcast / all-zero vector
+//   load(p)         aligned load of W stored values, widened to T — the
+//                   float lanes also widen IEEE binary16 (exact: every half
+//                   is a float; needs F16C at AVX2, see DP_TARGET_AVX2_F16C)
+//   loadu, storeu   unaligned load / store
+//   stream          non-temporal store (aligned p; see v4_stream)
+//   mul, fmadd      a * b;  a * b + c with a single rounding
+//   reduce_add      horizontal sum in a fixed lane order (reproducible)
+// ---------------------------------------------------------------------------
+template <class T, Level L>
+struct Lanes;
+
+template <>
+struct Lanes<double, Level::AVX2> {
+  using reg = v4d;
+  static constexpr std::size_t W = 4;
+  DP_TARGET_AVX2 DP_SIMD_OP static reg set1(double a) { return v4_set1(a); }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg zero() { return v4_zero(); }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg load(const double* p) { return v4_load(p); }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg loadu(const double* p) { return v4_loadu(p); }
+  DP_TARGET_AVX2 DP_SIMD_OP static void storeu(double* p, reg a) { v4_storeu(p, a); }
+  DP_TARGET_AVX2 DP_SIMD_OP static void stream(double* p, reg a) { v4_stream(p, a); }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg mul(reg a, reg b) { return v4_mul(a, b); }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg fmadd(reg a, reg b, reg c) { return v4_fmadd(a, b, c); }
+  DP_TARGET_AVX2 DP_SIMD_OP static double reduce_add(reg a) { return v4_reduce_add(a); }
+};
+
+template <>
+struct Lanes<float, Level::AVX2> {
+  using reg = __m256;
+  static constexpr std::size_t W = 8;
+  DP_TARGET_AVX2 DP_SIMD_OP static reg set1(float a) { return _mm256_set1_ps(a); }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg zero() { return _mm256_setzero_ps(); }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg load(const float* p) { return _mm256_load_ps(p); }
+  DP_TARGET_AVX2_F16C DP_SIMD_OP static reg load(const _Float16* p) {
+    return _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg loadu(const float* p) { return _mm256_loadu_ps(p); }
+  DP_TARGET_AVX2 DP_SIMD_OP static void storeu(float* p, reg a) { _mm256_storeu_ps(p, a); }
+  DP_TARGET_AVX2 DP_SIMD_OP static void stream(float* p, reg a) { _mm256_stream_ps(p, a); }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg mul(reg a, reg b) { return _mm256_mul_ps(a, b); }
+  DP_TARGET_AVX2 DP_SIMD_OP static reg fmadd(reg a, reg b, reg c) {
+    return _mm256_fmadd_ps(a, b, c);
+  }
+  /// Pairwise 128-bit fold, then the same shuffle tree every time.
+  DP_TARGET_AVX2 DP_SIMD_OP static float reduce_add(reg a) {
+    __m128 lo = _mm256_castps256_ps128(a);
+    __m128 hi = _mm256_extractf128_ps(a, 1);
+    __m128 s = _mm_add_ps(lo, hi);                     // {l0+l4, l1+l5, l2+l6, l3+l7}
+    s = _mm_add_ps(s, _mm_movehl_ps(s, s));            // {+l2+l6, +l3+l7, ...}
+    return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)));
+  }
+};
+
+template <>
+struct Lanes<double, Level::AVX512> {
+  using reg = v8d;
+  static constexpr std::size_t W = 8;
+  DP_TARGET_AVX512 DP_SIMD_OP static reg set1(double a) { return v8_set1(a); }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg zero() { return v8_zero(); }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg load(const double* p) { return v8_load(p); }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg loadu(const double* p) { return v8_loadu(p); }
+  DP_TARGET_AVX512 DP_SIMD_OP static void storeu(double* p, reg a) { v8_storeu(p, a); }
+  DP_TARGET_AVX512 DP_SIMD_OP static void stream(double* p, reg a) { v8_stream(p, a); }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg mul(reg a, reg b) { return v8_mul(a, b); }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg fmadd(reg a, reg b, reg c) {
+    return v8_fmadd(a, b, c);
+  }
+  DP_TARGET_AVX512 DP_SIMD_OP static double reduce_add(reg a) { return v8_reduce_add(a); }
+};
+
+template <>
+struct Lanes<float, Level::AVX512> {
+  using reg = __m512;
+  static constexpr std::size_t W = 16;
+  DP_TARGET_AVX512 DP_SIMD_OP static reg set1(float a) { return _mm512_set1_ps(a); }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg zero() { return _mm512_setzero_ps(); }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg load(const float* p) { return _mm512_load_ps(p); }
+  /// Maskz form with an all-ones mask: the plain _mm512_cvtph_ps expansion
+  /// carries an undefined merge operand that trips -Werror=maybe-uninitialized
+  /// on GCC 12 (same story as v8_reduce_add); vcvtph2ps is emitted either way.
+  DP_TARGET_AVX512 DP_SIMD_OP static reg load(const _Float16* p) {
+    return _mm512_maskz_cvtph_ps(static_cast<m16>(0xffff),
+                                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg loadu(const float* p) { return _mm512_loadu_ps(p); }
+  DP_TARGET_AVX512 DP_SIMD_OP static void storeu(float* p, reg a) { _mm512_storeu_ps(p, a); }
+  DP_TARGET_AVX512 DP_SIMD_OP static void stream(float* p, reg a) { _mm512_stream_ps(p, a); }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg mul(reg a, reg b) { return _mm512_mul_ps(a, b); }
+  DP_TARGET_AVX512 DP_SIMD_OP static reg fmadd(reg a, reg b, reg c) {
+    return _mm512_fmadd_ps(a, b, c);
+  }
+  /// 256-bit halves fold first, then the AVX2 tree. Hand-written for the
+  /// same -Werror=maybe-uninitialized reason as v8_reduce_add (maskz
+  /// extract; extractf32x8 is AVX512DQ, which the target includes).
+  DP_TARGET_AVX512 DP_SIMD_OP static float reduce_add(reg a) {
+    __m256 lo = _mm512_maskz_extractf32x8_ps(static_cast<m8>(0xff), a, 0);
+    __m256 hi = _mm512_maskz_extractf32x8_ps(static_cast<m8>(0xff), a, 1);
+    __m256 s8 = _mm256_add_ps(lo, hi);                 // {l0+l8, l1+l9, ..., l7+l15}
+    __m128 lo2 = _mm256_castps256_ps128(s8);
+    __m128 hi2 = _mm256_extractf128_ps(s8, 1);
+    __m128 s = _mm_add_ps(lo2, hi2);
+    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+    return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)));
+  }
+};
 
 #undef DP_SIMD_OP
 

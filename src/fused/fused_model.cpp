@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/cost.hpp"
@@ -14,234 +15,145 @@
 namespace dp::fused {
 
 using core::ModelConfig;
-using tab::TabulatedEmbedding;
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Per-level kernels for the two fused hot loops (ROADMAP item 1 remainder):
-// the pass-1 rank-1 outer product A_c += rrow[c] * row (Fig 4 (c)) and the
-// pass-2 per-slot gradient contraction. Level::Scalar keeps the exact
-// pre-SIMD expressions (the `_scalar` kernels below are the seed bodies,
-// pragma included — removing the pragma could change the autovectorized
-// reduction bits under the generic build). The vector kernels use wrapper
-// FMAs with std::fma tails; dot-product reductions reassociate (vector
-// partials folded by v*_reduce_add, then the tail), which is covered by the
-// reduction clause of the numerical contract — relative bounds, not ulps.
-// Dispatch is hoisted out of the slot loop: compute() resolves the function
-// pointers once per call.
+// Per-level kernels for the two fused hot loops: the pass-1 rank-1 outer
+// product A_c += r[c] * row (Fig 4 (c)) and the pass-2 per-slot gradient
+// contraction, each one template over the compute type T. Level::Scalar
+// keeps the exact seed expressions (the `_scalar` kernels below, pragma
+// included — removing it could change the autovectorized reduction bits).
+// The vector levels are compiled from fused_kernels.inc. Dispatch is hoisted
+// out of the slot loop: compute() resolves the function pointers once per
+// call.
 // ---------------------------------------------------------------------------
 
-/// Pass-2 per-slot contraction: g_rmat[c] = <g_a[c], row>, plus the dE/ds
-/// table term <R~ g_a, drow> folded into column 0. Kept noinline so exactly
-/// ONE compiled instance serves both the cached and the re-evaluated path —
-/// if the compiler clones the reduction per branch (different pointer
-/// provenance), the clones may contract/unroll differently and the
-/// "staging is an exact rewrite" invariant breaks in the last bit.
-__attribute__((noinline)) void slot_gradient_scalar(const double* rrow, const double* row,
-                                                    const double* drow, const double* g_a,
-                                                    std::size_t m, double* grow) {
-  double acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0, acc_s = 0;
-  const double r0 = rrow[0], r1 = rrow[1], r2 = rrow[2], r3 = rrow[3];
-  const double* ga0 = g_a;
-  const double* ga1 = g_a + m;
-  const double* ga2 = g_a + 2 * m;
-  const double* ga3 = g_a + 3 * m;
-#pragma omp simd reduction(+ : acc0, acc1, acc2, acc3, acc_s)
-  for (std::size_t b = 0; b < m; ++b) {
-    const double gb = row[b];
-    acc0 += ga0[b] * gb;
-    acc1 += ga1[b] * gb;
-    acc2 += ga2[b] * gb;
-    acc3 += ga3[b] * gb;
-    acc_s += (r0 * ga0[b] + r1 * ga1[b] + r2 * ga2[b] + r3 * ga3[b]) * drow[b];
-  }
-  grow[0] = acc0 + acc_s;
-  grow[1] = acc1;
-  grow[2] = acc2;
-  grow[3] = acc3;
-}
-
-/// Pass-1 rank-1 update: A_c += rrow[c] * row for the four env columns.
-void rank1_update_scalar(const double* rrow, const double* row, std::size_t m,
-                         double* a_mat) {
+template <class T>
+void rank1_update_scalar(const T* r, const T* row, std::size_t m, T* a) {
   for (int c = 0; c < 4; ++c) {
-    const double rv = rrow[c];
-    double* arow = a_mat + static_cast<std::size_t>(c) * m;
+    const T rv = r[c];
+    T* arow = a + static_cast<std::size_t>(c) * m;
 #pragma omp simd
     for (std::size_t b = 0; b < m; ++b) arow[b] += rv * row[b];
   }
 }
 
+/// Kept noinline so exactly ONE compiled instance per type serves every
+/// call site: a clone inlined elsewhere may contract or unroll the reduction
+/// differently and move the last bit.
+template <class T>
+__attribute__((noinline)) void slot_gradient_scalar(const T* r, const T* row, const T* drow,
+                                                    const T* g_a, std::size_t m,
+                                                    double* grow) {
+  T acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0, acc_s = 0;
+  const T r0 = r[0], r1 = r[1], r2 = r[2], r3 = r[3];
+  const T* ga0 = g_a;
+  const T* ga1 = g_a + m;
+  const T* ga2 = g_a + 2 * m;
+  const T* ga3 = g_a + 3 * m;
+  if constexpr (std::is_same_v<T, double>) {
+#pragma omp simd reduction(+ : acc0, acc1, acc2, acc3, acc_s)
+    for (std::size_t b = 0; b < m; ++b) {
+      const T gb = row[b];
+      acc0 += ga0[b] * gb;
+      acc1 += ga1[b] * gb;
+      acc2 += ga2[b] * gb;
+      acc3 += ga3[b] * gb;
+      acc_s += (r0 * ga0[b] + r1 * ga1[b] + r2 * ga2[b] + r3 * ga3[b]) * drow[b];
+    }
+  } else {
+    // The float seed, written as the explicit serial fma chain its `omp simd
+    // reduction` loop compiled to under -march=native -ffp-contract (the
+    // vectorizer declined it; only the contraction fired). Spelling the fmas
+    // out pins that bit pattern at the source level: an explicit fma chain
+    // cannot be re-vectorized without reassociation.
+    for (std::size_t b = 0; b < m; ++b) {
+      const T gb = row[b];
+      acc0 = std::fma(ga0[b], gb, acc0);
+      acc1 = std::fma(ga1[b], gb, acc1);
+      acc2 = std::fma(ga2[b], gb, acc2);
+      acc3 = std::fma(ga3[b], gb, acc3);
+      // fma(r0,ga0, r1*ga1): the seed contraction pre-rounds the r1*ga1
+      // product, not r0*ga0 — the asymmetry matters bitwise.
+      T w = std::fma(r0, ga0[b], r1 * ga1[b]);
+      w = std::fma(r2, ga2[b], w);
+      w = std::fma(r3, ga3[b], w);
+      acc_s = std::fma(w, drow[b], acc_s);
+    }
+  }
+  grow[0] = static_cast<double>(acc0) + static_cast<double>(acc_s);
+  grow[1] = acc1;
+  grow[2] = acc2;
+  grow[3] = acc3;
+}
+
 #if DP_SIMD_X86
 
-DP_TARGET_AVX2 void slot_gradient_avx2(const double* rrow, const double* row,
-                                       const double* drow, const double* g_a, std::size_t m,
-                                       double* grow) {
-  using namespace simd;
-  const double r0 = rrow[0], r1 = rrow[1], r2 = rrow[2], r3 = rrow[3];
-  const double* ga0 = g_a;
-  const double* ga1 = g_a + m;
-  const double* ga2 = g_a + 2 * m;
-  const double* ga3 = g_a + 3 * m;
-  const v4d vr0 = v4_set1(r0), vr1 = v4_set1(r1), vr2 = v4_set1(r2), vr3 = v4_set1(r3);
-  v4d v0 = v4_zero(), v1 = v4_zero(), v2 = v4_zero(), v3 = v4_zero(), vs = v4_zero();
-  std::size_t b = 0;
-  for (; b + 4 <= m; b += 4) {
-    const v4d a0 = v4_loadu(ga0 + b), a1 = v4_loadu(ga1 + b), a2 = v4_loadu(ga2 + b),
-              a3 = v4_loadu(ga3 + b);
-    const v4d gb = v4_loadu(row + b);
-    v0 = v4_fmadd(a0, gb, v0);
-    v1 = v4_fmadd(a1, gb, v1);
-    v2 = v4_fmadd(a2, gb, v2);
-    v3 = v4_fmadd(a3, gb, v3);
-    v4d w = v4_mul(vr0, a0);
-    w = v4_fmadd(vr1, a1, w);
-    w = v4_fmadd(vr2, a2, w);
-    w = v4_fmadd(vr3, a3, w);
-    vs = v4_fmadd(w, v4_loadu(drow + b), vs);
-  }
-  double acc0 = v4_reduce_add(v0), acc1 = v4_reduce_add(v1), acc2 = v4_reduce_add(v2),
-         acc3 = v4_reduce_add(v3), acc_s = v4_reduce_add(vs);
-  for (; b < m; ++b) {
-    const double gb = row[b];
-    acc0 = std::fma(ga0[b], gb, acc0);
-    acc1 = std::fma(ga1[b], gb, acc1);
-    acc2 = std::fma(ga2[b], gb, acc2);
-    acc3 = std::fma(ga3[b], gb, acc3);
-    double w = r0 * ga0[b];
-    w = std::fma(r1, ga1[b], w);
-    w = std::fma(r2, ga2[b], w);
-    w = std::fma(r3, ga3[b], w);
-    acc_s = std::fma(w, drow[b], acc_s);
-  }
-  grow[0] = acc0 + acc_s;
-  grow[1] = acc1;
-  grow[2] = acc2;
-  grow[3] = acc3;
-}
+namespace avx2 {
+constexpr simd::Level kLevel = simd::Level::AVX2;
+#define DP_LEVEL_TARGET DP_TARGET_AVX2
+#include "fused/fused_kernels.inc"
+#undef DP_LEVEL_TARGET
+}  // namespace avx2
 
-DP_TARGET_AVX512 void slot_gradient_avx512(const double* rrow, const double* row,
-                                           const double* drow, const double* g_a,
-                                           std::size_t m, double* grow) {
-  using namespace simd;
-  const double r0 = rrow[0], r1 = rrow[1], r2 = rrow[2], r3 = rrow[3];
-  const double* ga0 = g_a;
-  const double* ga1 = g_a + m;
-  const double* ga2 = g_a + 2 * m;
-  const double* ga3 = g_a + 3 * m;
-  const v8d vr0 = v8_set1(r0), vr1 = v8_set1(r1), vr2 = v8_set1(r2), vr3 = v8_set1(r3);
-  v8d v0 = v8_zero(), v1 = v8_zero(), v2 = v8_zero(), v3 = v8_zero(), vs = v8_zero();
-  std::size_t b = 0;
-  for (; b + 8 <= m; b += 8) {
-    const v8d a0 = v8_loadu(ga0 + b), a1 = v8_loadu(ga1 + b), a2 = v8_loadu(ga2 + b),
-              a3 = v8_loadu(ga3 + b);
-    const v8d gb = v8_loadu(row + b);
-    v0 = v8_fmadd(a0, gb, v0);
-    v1 = v8_fmadd(a1, gb, v1);
-    v2 = v8_fmadd(a2, gb, v2);
-    v3 = v8_fmadd(a3, gb, v3);
-    v8d w = v8_mul(vr0, a0);
-    w = v8_fmadd(vr1, a1, w);
-    w = v8_fmadd(vr2, a2, w);
-    w = v8_fmadd(vr3, a3, w);
-    vs = v8_fmadd(w, v8_loadu(drow + b), vs);
-  }
-  double acc0 = v8_reduce_add(v0), acc1 = v8_reduce_add(v1), acc2 = v8_reduce_add(v2),
-         acc3 = v8_reduce_add(v3), acc_s = v8_reduce_add(vs);
-  for (; b < m; ++b) {
-    const double gb = row[b];
-    acc0 = std::fma(ga0[b], gb, acc0);
-    acc1 = std::fma(ga1[b], gb, acc1);
-    acc2 = std::fma(ga2[b], gb, acc2);
-    acc3 = std::fma(ga3[b], gb, acc3);
-    double w = r0 * ga0[b];
-    w = std::fma(r1, ga1[b], w);
-    w = std::fma(r2, ga2[b], w);
-    w = std::fma(r3, ga3[b], w);
-    acc_s = std::fma(w, drow[b], acc_s);
-  }
-  grow[0] = acc0 + acc_s;
-  grow[1] = acc1;
-  grow[2] = acc2;
-  grow[3] = acc3;
-}
-
-DP_TARGET_AVX2 void rank1_update_avx2(const double* rrow, const double* row, std::size_t m,
-                                      double* a_mat) {
-  using namespace simd;
-  for (int c = 0; c < 4; ++c) {
-    const double rv = rrow[c];
-    const v4d vrv = v4_set1(rv);
-    double* arow = a_mat + static_cast<std::size_t>(c) * m;
-    std::size_t b = 0;
-    for (; b + 4 <= m; b += 4)
-      v4_storeu(arow + b, v4_fmadd(vrv, v4_loadu(row + b), v4_loadu(arow + b)));
-    for (; b < m; ++b) arow[b] = std::fma(rv, row[b], arow[b]);
-  }
-}
-
-DP_TARGET_AVX512 void rank1_update_avx512(const double* rrow, const double* row,
-                                          std::size_t m, double* a_mat) {
-  using namespace simd;
-  for (int c = 0; c < 4; ++c) {
-    const double rv = rrow[c];
-    const v8d vrv = v8_set1(rv);
-    double* arow = a_mat + static_cast<std::size_t>(c) * m;
-    std::size_t b = 0;
-    for (; b + 8 <= m; b += 8)
-      v8_storeu(arow + b, v8_fmadd(vrv, v8_loadu(row + b), v8_loadu(arow + b)));
-    for (; b < m; ++b) arow[b] = std::fma(rv, row[b], arow[b]);
-  }
-}
+namespace avx512 {
+constexpr simd::Level kLevel = simd::Level::AVX512;
+#define DP_LEVEL_TARGET DP_TARGET_AVX512
+#include "fused/fused_kernels.inc"
+#undef DP_LEVEL_TARGET
+}  // namespace avx512
 
 #endif  // DP_SIMD_X86
 
-using SlotGradientFn = void (*)(const double*, const double*, const double*, const double*,
-                                std::size_t, double*);
-using Rank1Fn = void (*)(const double*, const double*, std::size_t, double*);
+template <class T>
+using Rank1Fn = void (*)(const T*, const T*, std::size_t, T*);
+template <class T>
+using SlotGradientFn = void (*)(const T*, const T*, const T*, const T*, std::size_t, double*);
 
-SlotGradientFn pick_slot_gradient(simd::Level lvl) {
+template <class T>
+Rank1Fn<T> pick_rank1(simd::Level lvl) {
 #if DP_SIMD_X86
-  if (lvl == simd::Level::AVX512) return slot_gradient_avx512;
-  if (lvl == simd::Level::AVX2) return slot_gradient_avx2;
+  if (lvl == simd::Level::AVX512) return avx512::rank1_update<T>;
+  if (lvl == simd::Level::AVX2) return avx2::rank1_update<T>;
 #else
   (void)lvl;
 #endif
-  return slot_gradient_scalar;
+  return rank1_update_scalar<T>;
 }
 
-Rank1Fn pick_rank1(simd::Level lvl) {
+template <class T>
+SlotGradientFn<T> pick_slot_gradient(simd::Level lvl) {
 #if DP_SIMD_X86
-  if (lvl == simd::Level::AVX512) return rank1_update_avx512;
-  if (lvl == simd::Level::AVX2) return rank1_update_avx2;
+  if (lvl == simd::Level::AVX512) return avx512::slot_gradient<T>;
+  if (lvl == simd::Level::AVX2) return avx2::slot_gradient<T>;
 #else
   (void)lvl;
 #endif
-  return rank1_update_scalar;
+  return slot_gradient_scalar<T>;
 }
 
 }  // namespace
 
-FusedDP::FusedDP(const tab::TabulatedDP& tabulated, FusedOptions opts)
-    : tab_(tabulated), opts_(opts) {}
-
-void FusedDP::prepare(std::size_t n) {
-  const ModelConfig& cfg = tab_.model().config();
+template <class Coef>
+void FusedKernel<Coef>::prepare(const ModelConfig& cfg, std::size_t n) {
   const std::size_t m = cfg.m();
+  const std::size_t nm = static_cast<std::size_t>(cfg.nm());
   atom_energy_.resize(n);
   g_rmat_.resize(env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
   for (ThreadScratch& sc : scratch_) {
-    sc.g_row.resize(m);
-    sc.dg_row.resize(m);
+    sc.s_col.resize(nm);
+    sc.row_cache.resize(nm * 2 * m);
+    sc.a_t.resize(4 * m);
+    sc.ga_t.resize(4 * m);
     sc.a_mat.resize(4 * m);
     sc.g_a.resize(4 * m);
-    if (opts_.cache_rows) sc.row_cache.resize(static_cast<std::size_t>(cfg.nm()) * 2 * m);
   }
 }
 
-std::size_t FusedDP::workspace_bytes() const {
+template <class Coef>
+std::size_t FusedKernel<Coef>::workspace_bytes() const {
   std::size_t b = env_.storage_bytes() + env_ws_.bytes() + prod_ws_.bytes() +
                   g_rmat_.capacity() * sizeof(double) +
                   atom_energy_.capacity() * sizeof(double) +
@@ -250,21 +162,24 @@ std::size_t FusedDP::workspace_bytes() const {
   return b;
 }
 
-md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
-                                 const md::NeighborList& nlist, bool periodic) {
+template <class Coef>
+md::ForceResult FusedKernel<Coef>::compute(const core::DPModel& model,
+                                           const std::vector<tab::Table<Coef>>& tables,
+                                           const FusedOptions& opts, const md::Box& box,
+                                           md::Atoms& atoms, const md::NeighborList& nlist,
+                                           bool periodic) {
   ScopedTimer timer("fused.compute", "kernel");
-  const core::DPModel& model = tab_.model();
   const ModelConfig& cfg = model.config();
   {
     ScopedTimer t("fused.env_mat", "kernel");
-    build_env_mat(cfg, box, atoms, nlist, env_, env_ws_, opts_.env_kernel, periodic);
+    build_env_mat(cfg, box, atoms, nlist, env_, env_ws_, opts.env_kernel, periodic);
   }
   const std::size_t n = env_.n_atoms;
   const std::size_t m = cfg.m();
   const std::size_t m_sub = cfg.axis_neuron;
   const int nm = cfg.nm();
   const double scale = 1.0 / static_cast<double>(nm);
-  prepare(n);
+  prepare(cfg, n);
 
   std::size_t slots_processed = 0;
   double energy_total = 0.0;
@@ -278,91 +193,71 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
     const int team_size = static_cast<int>(scratch_.size());
     // SIMD level resolved once per compute(), outside the team (same pattern
     // as prod_force): every thread runs the same kernel instance.
-    const SlotGradientFn slot_gradient = pick_slot_gradient(simd::active());
-    const Rank1Fn rank1_update = pick_rank1(simd::active());
+    const Rank1Fn<T> rank1_update = pick_rank1<T>(simd::active());
+    const SlotGradientFn<T> slot_gradient = pick_slot_gradient<T>(simd::active());
+    // Slots walked per (atom, type) block: the filled ones, or every
+    // reserved slot of the dense layout when redundancy removal is off.
+    auto slot_count = [&](std::size_t i, int ty) {
+      return static_cast<std::size_t>((env_.compact() || opts.skip_padding)
+                                          ? env_.count(i, ty)
+                                          : cfg.sel[static_cast<std::size_t>(ty)]);
+    };
     BuildTeam& team = BuildTeam::team();
-    auto body = [&](int tid, int T) {
-      // Per-thread scratch: one embedding row + its derivative (the
-      // "registers" of the CUDA kernel), the A accumulator, and the fitting
-      // workspace — persistent members, nothing allocated per call.
+    auto body = [&](int tid, int nthreads) {
       ThreadScratch& sc = scratch_[static_cast<std::size_t>(tid)];
       sc.slots_partial = 0;
       sc.energy_partial = 0.0;
-      const std::size_t i_begin = chunk_bound(n, tid, T);
-      const std::size_t i_end = chunk_bound(n, tid + 1, T);
+      const std::size_t i_begin = chunk_bound(n, tid, nthreads);
+      const std::size_t i_end = chunk_bound(n, tid + 1, nthreads);
       for (std::size_t i = i_begin; i < i_end; ++i) {
-        std::memset(sc.a_mat.data(), 0, 4 * m * sizeof(double));
+        std::memset(sc.a_t.data(), 0, 4 * m * sizeof(T));
 
-        // ---- Pass 1: fused tabulate + rank-1 contraction ----------------
+        // ---- Pass 1: one batched table walk per type block into the row
+        // cache (indexed by the dense in-atom offset in both env layouts),
+        // then the rank-1 contraction over the cached value rows ----------
         for (int ty = 0; ty < cfg.ntypes; ++ty) {
-          const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
+          const tab::Table<Coef>& table = tables[model.pair_index(atoms.type[i], ty)];
           const std::size_t base = env_.block_begin(i, ty);
-          const int off = cfg.type_offset(ty);
-          const int limit = (env_.compact() || opts_.skip_padding)
-                                ? env_.count(i, ty)
-                                : cfg.sel[static_cast<std::size_t>(ty)];
-          if (opts_.cache_rows && opts_.blocked_table && limit > 0) {
-            // Batched staging: the s values sit in the first column of the
-            // contiguous env-matrix rows (stride 4), the cache rows are
-            // value/derivative pairs (stride 2M) — one SIMD dispatch for
-            // the whole slot run instead of one per slot.
-            double* cache0 = sc.row_cache.data() + static_cast<std::size_t>(off) * 2 * m;
-            table.eval_with_deriv_blocked_batch(env_.rmat_at(base), 4,
-                                                static_cast<std::size_t>(limit), cache0,
-                                                cache0 + m, 2 * m);
+          const std::size_t cnt = slot_count(i, ty);
+          if (cnt == 0) continue;
+          // The s values sit in the first column of the contiguous env rows.
+          const double* rbase = env_.rmat_at(base);
+          for (std::size_t k = 0; k < cnt; ++k) sc.s_col[k] = static_cast<T>(rbase[4 * k]);
+          T* cache0 =
+              sc.row_cache.data() + static_cast<std::size_t>(cfg.type_offset(ty)) * 2 * m;
+          table.eval_with_deriv_blocked_batch(sc.s_col.data(), 1, cnt, cache0, cache0 + m,
+                                              2 * m);
+          for (std::size_t k = 0; k < cnt; ++k) {
+            const double* rrow = rbase + 4 * k;
+            const T r[4] = {static_cast<T>(rrow[0]), static_cast<T>(rrow[1]),
+                            static_cast<T>(rrow[2]), static_cast<T>(rrow[3])};
+            rank1_update(r, cache0 + k * 2 * m, m, sc.a_t.data());
           }
-          for (int k = 0; k < limit; ++k) {
-            const double* rrow = env_.rmat_at(base + static_cast<std::size_t>(k));
-            const double* row = sc.g_row.data();
-            if (opts_.cache_rows) {
-              // Single table walk: value + derivative staged for pass 2.
-              // (Cache indexed by the dense in-atom offset in both layouts.)
-              double* cache = sc.row_cache.data() + static_cast<std::size_t>(off + k) * 2 * m;
-              if (!opts_.blocked_table)  // blocked rows staged by the batch above
-                table.eval_with_deriv(rrow[0], cache, cache + m);
-              row = cache;
-            } else if (opts_.blocked_table) {
-              table.eval_blocked(rrow[0], sc.g_row.data());
-            } else {
-              table.eval(rrow[0], sc.g_row.data());
-            }
-            // outer-product update: A_c += rrow[c] * row (Fig 4 (c))
-            rank1_update(rrow, row, m, sc.a_mat.data());
-            ++sc.slots_partial;
-          }
+          sc.slots_partial += cnt;
         }
-        for (double& v : sc.a_mat) v *= scale;
 
+        // ---- Descriptor + fitting in double ------------------------------
+        for (std::size_t k = 0; k < 4 * m; ++k)
+          sc.a_mat[k] = static_cast<double>(sc.a_t[k]) * scale;
         const double e_i = core::descriptor_fit_atom(model.fitting(atoms.type[i]),
                                                      sc.a_mat.data(), m, m_sub, scale,
                                                      sc.scratch, sc.g_a.data());
         atom_energy_[i] = e_i;
         sc.energy_partial += e_i;
 
-        // ---- Pass 2: re-walk slots, fuse dE/dR~ and dE/ds ----------------
+        // ---- Pass 2 from the cache: fuse dE/dR~ and dE/ds per slot -------
+        for (std::size_t k = 0; k < 4 * m; ++k) sc.ga_t[k] = static_cast<T>(sc.g_a[k]);
         for (int ty = 0; ty < cfg.ntypes; ++ty) {
-          const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
           const std::size_t base = env_.block_begin(i, ty);
-          const int off = cfg.type_offset(ty);
-          const int limit = (env_.compact() || opts_.skip_padding)
-                                ? env_.count(i, ty)
-                                : cfg.sel[static_cast<std::size_t>(ty)];
-          for (int k = 0; k < limit; ++k) {
-            const std::size_t s = base + static_cast<std::size_t>(k);
-            const double* rrow = env_.rmat_at(s);
-            const double* row = sc.g_row.data();
-            const double* drow = sc.dg_row.data();
-            if (opts_.cache_rows) {
-              const double* cache =
-                  sc.row_cache.data() + static_cast<std::size_t>(off + k) * 2 * m;
-              row = cache;
-              drow = cache + m;
-            } else if (opts_.blocked_table) {
-              table.eval_with_deriv_blocked(rrow[0], sc.g_row.data(), sc.dg_row.data());
-            } else {
-              table.eval_with_deriv(rrow[0], sc.g_row.data(), sc.dg_row.data());
-            }
-            slot_gradient(rrow, row, drow, sc.g_a.data(), m, g_rmat_.data() + s * 4);
+          const T* cache0 =
+              sc.row_cache.data() + static_cast<std::size_t>(cfg.type_offset(ty)) * 2 * m;
+          const std::size_t cnt = slot_count(i, ty);
+          for (std::size_t k = 0; k < cnt; ++k) {
+            const double* rrow = env_.rmat_at(base + k);
+            const T r[4] = {static_cast<T>(rrow[0]), static_cast<T>(rrow[1]),
+                            static_cast<T>(rrow[2]), static_cast<T>(rrow[3])};
+            const T* row = cache0 + k * 2 * m;
+            slot_gradient(r, row, row + m, sc.ga_t.data(), m, g_rmat_.data() + (base + k) * 4);
           }
         }
         // Dense layout without skip_padding walked the padded tails above;
@@ -401,7 +296,7 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
   CostRegistry::instance().add(
       "fused.descriptor",
       {static_cast<double>(slots_processed) * 47.0 * static_cast<double>(m),
-       static_cast<double>(slots_processed) * 12.0 * static_cast<double>(m) * sizeof(double),
+       static_cast<double>(slots_processed) * 12.0 * static_cast<double>(m) * sizeof(Coef),
        static_cast<double>(slots_processed) * 4.0 * sizeof(double)});
 
   md::ForceResult out;
@@ -414,5 +309,9 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
   }
   return out;
 }
+
+template class FusedKernel<double>;
+template class FusedKernel<float>;
+template class FusedKernel<_Float16>;
 
 }  // namespace dp::fused

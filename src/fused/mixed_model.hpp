@@ -10,22 +10,16 @@
 //     all force/virial accumulations (the reductions where float error
 //     compounds).
 //
-// The float stage rides the runtime SIMD dispatcher at twice the lane width
-// of the double path (8 floats AVX2 / 16 floats AVX-512): one batched
-// blocked table walk per slot run stages value+derivative row pairs, pass 1
-// contracts them rank-1 into A_sp, pass 2 reuses the cached rows for the
-// gradient dots. DP_SIMD=scalar keeps the seed float expressions bit for
-// bit.
+// It runs FusedDP's compute body (fused/fused_model.hpp) over float or half
+// tables: the float stage rides the runtime SIMD dispatcher at twice the
+// lane width of the double path (8 floats AVX2 / 16 floats AVX-512).
+// DP_SIMD=scalar keeps the seed float expressions bit for bit.
 #pragma once
 
 #include <vector>
 
-#include "dp/descriptor.hpp"
-#include "dp/env_mat.hpp"
-#include "dp/prod_force.hpp"
-#include "md/force_field.hpp"
-#include "tab/table_sp.hpp"
-#include "tab/tabulated_model.hpp"
+#include "fused/fused_model.hpp"
+#include "tab/table.hpp"
 
 namespace dp::fused {
 
@@ -53,37 +47,22 @@ class MixedFusedDP final : public md::ForceField {
     return static_cast<std::size_t>(tab_.model().config().nm());
   }
 
-  const std::vector<double>& atom_energies() const { return atom_energy_; }
+  const std::vector<double>& atom_energies() const {
+    return precision_ == MixedPrecision::Single ? single_.atom_energies()
+                                                : half_.atom_energies();
+  }
   /// Bytes of the reduced-precision tables (double/2 for Single, /4 for
   /// Half).
   std::size_t table_bytes() const;
 
  private:
-  /// Batched blocked float table walk (value + derivative rows), dispatching
-  /// on precision_ — the single table walk per slot that feeds both passes.
-  void eval_table_batch(std::size_t idx, const float* s, std::size_t count, float* g,
-                        float* dg, std::size_t out_stride) const;
-  void prepare(std::size_t n);
-
-  struct ThreadScratch {
-    AlignedVector<float> s_col;       ///< staged float s values, one per slot
-    AlignedVector<float> row_cache;   ///< value/deriv row pairs, stride 2M
-    AlignedVector<float> a_sp, ga_sp;
-    AlignedVector<double> a_mat, g_a;
-    core::AtomKernelScratch scratch;
-    double energy_partial = 0.0;  ///< folded by the master, ascending thread order
-  };
-
   const tab::TabulatedDP& tab_;
   MixedPrecision precision_;
+  // Only the kernel and tables of `precision_` are ever filled.
   std::vector<tab::TabulatedEmbeddingSP> tables_sp_;
   std::vector<tab::TabulatedEmbeddingHP> tables_hp_;
-  core::EnvMat env_;
-  core::EnvMatWorkspace env_ws_;
-  core::ProdForceWorkspace prod_ws_;
-  AlignedVector<double> g_rmat_;
-  std::vector<ThreadScratch> scratch_;
-  std::vector<double> atom_energy_;
+  FusedKernel<float> single_;
+  FusedKernel<_Float16> half_;
 };
 
 }  // namespace dp::fused

@@ -31,13 +31,13 @@ SeRFusedDP::SeRFusedDP(const tab::TabulatedDP& tabulated) : tab_(tabulated) {
 }
 
 void SeRFusedDP::prepare(std::size_t n) {
-  const std::size_t m = tab_.model().config().m();
+  const ModelConfig& cfg = tab_.model().config();
+  const std::size_t m = cfg.m();
   atom_energy_.resize(n);
   g_rmat_.resize(env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
   for (ThreadScratch& sc : scratch_) {
-    sc.g_row.resize(m);
-    sc.dg_row.resize(m);
+    sc.row_cache.resize(static_cast<std::size_t>(cfg.nm()) * 2 * m);
     sc.d_vec.resize(m);
     sc.g_d.resize(m);
   }
@@ -70,16 +70,25 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
     const std::size_t i_end = chunk_bound(n, tid + 1, T);
     for (std::size_t i = i_begin; i < i_end; ++i) {
       // ---- Pass 1: D = (1/N_m) sum over ALL slots of g(s_j); real slots
-      // are walked, padded ones contribute the cached g(0) analytically ----
+      // are walked once, batched, into the row cache (value / derivative
+      // pairs, reused by pass 2), padded ones contribute the cached g(0)
+      // analytically ------------------------------------------------------
       std::memset(sc.d_vec.data(), 0, m * sizeof(double));
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
         const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
         const std::size_t base = env_.block_begin(i, ty);
         const int limit = env_.count(i, ty);
+        double* cache0 =
+            sc.row_cache.data() + static_cast<std::size_t>(cfg.type_offset(ty)) * 2 * m;
+        // The s values sit in the first column of the contiguous env rows.
+        if (limit > 0)
+          table.eval_with_deriv_blocked_batch(env_.rmat_at(base), 4,
+                                              static_cast<std::size_t>(limit), cache0,
+                                              cache0 + m, 2 * m);
         for (int k = 0; k < limit; ++k) {
-          table.eval(env_.rmat_at(base + static_cast<std::size_t>(k))[0], sc.g_row.data());
+          const double* row = cache0 + static_cast<std::size_t>(k) * 2 * m;
 #pragma omp simd
-          for (std::size_t b = 0; b < m; ++b) sc.d_vec[b] += sc.g_row[b];
+          for (std::size_t b = 0; b < m; ++b) sc.d_vec[b] += row[b];
         }
         const double n_padded =
             static_cast<double>(cfg.sel[static_cast<std::size_t>(ty)] - limit);
@@ -100,19 +109,20 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
       sc.energy_partial += e_i;
       model.fitting(ct).backward(sc.fit_ws, sc.g_d.data());
 
-      // ---- Pass 2: dE/ds_j = (1/N_m) <g_D, g'(s_j)> into column 0; the
-      // directional columns are written as explicit zeros (g_rmat_ is a
-      // persistent buffer that is never bulk-zeroed) ----------------------
+      // ---- Pass 2 from the cache: dE/ds_j = (1/N_m) <g_D, g'(s_j)> into
+      // column 0; the directional columns are written as explicit zeros
+      // (g_rmat_ is a persistent buffer that is never bulk-zeroed) ---------
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
-        const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
         const std::size_t base = env_.block_begin(i, ty);
         const int limit = env_.count(i, ty);
+        const double* cache0 =
+            sc.row_cache.data() + static_cast<std::size_t>(cfg.type_offset(ty)) * 2 * m;
         for (int k = 0; k < limit; ++k) {
           const std::size_t slot = base + static_cast<std::size_t>(k);
-          table.eval_with_deriv(env_.rmat_at(slot)[0], sc.g_row.data(), sc.dg_row.data());
+          const double* drow = cache0 + static_cast<std::size_t>(k) * 2 * m + m;
           double acc = 0.0;
 #pragma omp simd reduction(+ : acc)
-          for (std::size_t b = 0; b < m; ++b) acc += sc.g_d[b] * sc.dg_row[b];
+          for (std::size_t b = 0; b < m; ++b) acc += sc.g_d[b] * drow[b];
           double* grow = g_rmat_.data() + slot * 4;
           grow[0] = acc * scale;
           grow[1] = 0.0;

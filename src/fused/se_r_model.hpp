@@ -46,7 +46,8 @@ class SeRFusedDP final : public md::ForceField {
   void prepare(std::size_t n);
 
   struct ThreadScratch {
-    AlignedVector<double> g_row, dg_row, d_vec, g_d;
+    AlignedVector<double> row_cache;  ///< value / derivative row pairs, stride 2M
+    AlignedVector<double> d_vec, g_d;
     nn::FittingNet::Workspace fit_ws;
     double energy_partial = 0.0;  ///< folded by the master, ascending thread order
   };

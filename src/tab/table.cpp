@@ -13,45 +13,53 @@ namespace dp::tab {
 
 namespace {
 
-constexpr std::size_t kL = TabulatedEmbedding::kLane;
+constexpr std::size_t kL = Table<double>::kLane;
 
 // ---------------------------------------------------------------------------
 // Per-level kernels for one table walk (interval already located, local
-// coordinate t in hand). The Level::Scalar kernels keep the exact pre-SIMD
-// expressions; the AVX kernels share one elementwise FMA Horner sequence
+// coordinate t in hand), each written once over the coefficient type Coef
+// and its compute type T. The Level::Scalar kernels keep the exact pre-SIMD
+// expressions; the vector levels share one elementwise FMA Horner sequence
 // between the AoS walk, the blocked walk and the scalar tails, so the two
-// layouts stay bitwise identical at any fixed level (the parity suite and
-// the Blocked*Identical seed tests both pin this down).
+// layouts stay bitwise identical at any fixed level (the parity suite pins
+// this down). Half coefficients are widened to float first — exactly.
 // ---------------------------------------------------------------------------
 
-void blocked_value_scalar(const double* base, double t, std::size_t m, std::size_t nblk,
-                          double* g) {
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    const std::size_t lanes = (ch0 + kL <= m) ? kL : (m - ch0);
-#pragma omp simd
-    for (std::size_t l = 0; l < lanes; ++l) {
-      g[ch0 + l] =
-          c[0 * kL + l] +
-          t * (c[1 * kL + l] +
-               t * (c[2 * kL + l] +
-                    t * (c[3 * kL + l] + t * (c[4 * kL + l] + t * c[5 * kL + l]))));
-    }
+template <class Coef, class T>
+void aos_value_scalar(const Coef* base, T t, std::size_t m, T* g) {
+  for (std::size_t ch = 0; ch < m; ++ch) {
+    const Coef* c = base + ch * 6;
+    const T c0 = static_cast<T>(c[0]), c1 = static_cast<T>(c[1]), c2 = static_cast<T>(c[2]),
+            c3 = static_cast<T>(c[3]), c4 = static_cast<T>(c[4]), c5 = static_cast<T>(c[5]);
+    g[ch] = c0 + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5))));
   }
 }
 
-void blocked_deriv_scalar(const double* base, double t, std::size_t m, std::size_t nblk,
-                          double* g, double* dg) {
+template <class Coef, class T>
+void aos_deriv_scalar(const Coef* base, T t, std::size_t m, T* g, T* dg) {
+  for (std::size_t ch = 0; ch < m; ++ch) {
+    const Coef* c = base + ch * 6;
+    const T c1 = static_cast<T>(c[1]), c2 = static_cast<T>(c[2]), c3 = static_cast<T>(c[3]),
+            c4 = static_cast<T>(c[4]), c5 = static_cast<T>(c[5]);
+    g[ch] = static_cast<T>(c[0]) + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5))));
+    dg[ch] = c1 + t * (2 * c2 + t * (3 * c3 + t * (4 * c4 + t * 5 * c5)));
+  }
+}
+
+template <class Coef, class T = compute_t<Coef>>
+void blocked_deriv_scalar(const Coef* base, T t, std::size_t m, std::size_t nblk, T* g,
+                          T* dg) {
   for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
+    const Coef* c = base + b * 6 * kL;
     const std::size_t ch0 = b * kL;
     const std::size_t lanes = (ch0 + kL <= m) ? kL : (m - ch0);
 #pragma omp simd
     for (std::size_t l = 0; l < lanes; ++l) {
-      const double c1 = c[1 * kL + l], c2 = c[2 * kL + l], c3 = c[3 * kL + l],
-                   c4 = c[4 * kL + l], c5 = c[5 * kL + l];
-      g[ch0 + l] = c[0 * kL + l] + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5))));
+      const T c1 = static_cast<T>(c[1 * kL + l]), c2 = static_cast<T>(c[2 * kL + l]),
+              c3 = static_cast<T>(c[3 * kL + l]), c4 = static_cast<T>(c[4 * kL + l]),
+              c5 = static_cast<T>(c[5 * kL + l]);
+      g[ch0 + l] = static_cast<T>(c[0 * kL + l]) +
+                   t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5))));
       dg[ch0 + l] = c1 + t * (2 * c2 + t * (3 * c3 + t * (4 * c4 + t * 5 * c5)));
     }
   }
@@ -59,236 +67,93 @@ void blocked_deriv_scalar(const double* base, double t, std::size_t m, std::size
 
 #if DP_SIMD_X86
 
-// AoS walk at the AVX levels: scalar std::fma per channel, which the target
-// attribute compiles to the FMA instruction — the exact rounding sequence of
-// the vector lanes below, so AoS == blocked bitwise. One AVX2-annotated body
-// serves both AVX levels (the math is elementwise either way).
-DP_TARGET_AVX2 void aos_value_fma(const double* base, double t, std::size_t m, double* g) {
+// AoS walk at the vector levels: scalar std::fma per channel, which the
+// target attribute compiles to the FMA instruction — the exact rounding
+// sequence of the blocked vector lanes, so AoS == blocked bitwise. One
+// AVX2-annotated body serves both vector levels (the math is elementwise).
+template <class Coef, class T>
+DP_TARGET_AVX2 void aos_value_fma(const Coef* base, T t, std::size_t m, T* g) {
   for (std::size_t ch = 0; ch < m; ++ch) {
-    const double* c = base + ch * 6;
-    g[ch] = std::fma(
-        t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c[5], c[4]), c[3]), c[2]), c[1]),
-        c[0]);
+    const Coef* c = base + ch * 6;
+    const T c0 = static_cast<T>(c[0]), c1 = static_cast<T>(c[1]), c2 = static_cast<T>(c[2]),
+            c3 = static_cast<T>(c[3]), c4 = static_cast<T>(c[4]), c5 = static_cast<T>(c[5]);
+    g[ch] = std::fma(t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c5, c4), c3), c2), c1),
+                     c0);
   }
 }
 
-DP_TARGET_AVX2 void aos_deriv_fma(const double* base, double t, std::size_t m, double* g,
-                                  double* dg) {
+template <class Coef, class T>
+DP_TARGET_AVX2 void aos_deriv_fma(const Coef* base, T t, std::size_t m, T* g, T* dg) {
   for (std::size_t ch = 0; ch < m; ++ch) {
-    const double* c = base + ch * 6;
-    g[ch] = std::fma(
-        t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c[5], c[4]), c[3]), c[2]), c[1]),
-        c[0]);
+    const Coef* c = base + ch * 6;
+    const T c0 = static_cast<T>(c[0]), c1 = static_cast<T>(c[1]), c2 = static_cast<T>(c[2]),
+            c3 = static_cast<T>(c[3]), c4 = static_cast<T>(c[4]), c5 = static_cast<T>(c[5]);
+    g[ch] = std::fma(t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c5, c4), c3), c2), c1),
+                     c0);
     dg[ch] = std::fma(
-        t, std::fma(t, std::fma(t, std::fma(t, 5.0 * c[5], 4.0 * c[4]), 3.0 * c[3]),
-                    2.0 * c[2]),
-        c[1]);
+        t, std::fma(t, std::fma(t, std::fma(t, T(5) * c5, T(4) * c4), T(3) * c3), T(2) * c2),
+        c1);
   }
 }
 
-// Blocked walk, AVX2: four 4-lane vectors per 16-channel block; the six
-// coefficient streams are contiguous (and 32-byte aligned) in the blocked
-// layout, so every load is a plain vector load — the Fig 5 memory pattern.
-DP_TARGET_AVX2 void blocked_value_avx2(const double* base, double t, std::size_t m,
-                                       std::size_t nblk, double* g) {
-  using namespace simd;
-  const v4d vt = v4_set1(t);
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    if (ch0 + kL <= m) {
-      for (std::size_t q = 0; q < kL; q += 4) {
-        const double* cq = c + q;
-        v4d y = v4_fmadd(vt, v4_load(cq + 5 * kL), v4_load(cq + 4 * kL));
-        y = v4_fmadd(vt, y, v4_load(cq + 3 * kL));
-        y = v4_fmadd(vt, y, v4_load(cq + 2 * kL));
-        y = v4_fmadd(vt, y, v4_load(cq + 1 * kL));
-        y = v4_fmadd(vt, y, v4_load(cq + 0 * kL));
-        v4_storeu(g + ch0 + q, y);
-      }
-    } else {
-      for (std::size_t l = 0; l < m - ch0; ++l) {
-        const double* cl = c + l;
-        g[ch0 + l] = std::fma(
-            t,
-            std::fma(t,
-                     std::fma(t, std::fma(t, std::fma(t, cl[5 * kL], cl[4 * kL]), cl[3 * kL]),
-                              cl[2 * kL]),
-                     cl[1 * kL]),
-            cl[0 * kL]);
-      }
-    }
-  }
-}
+// The blocked walk, compiled once per vector level from table_kernels.inc.
+// The AVX2 instantiations carry f16c for the half table's in-register widen
+// (vcvtph2ps is not implied by avx2): the double and float walks contain no
+// half conversion, so no F16C instruction is emitted for them, and the half
+// walk only runs at AVX2 when has_f16c() (see walk_level).
+namespace avx2 {
+constexpr simd::Level kLevel = simd::Level::AVX2;
+#define DP_LEVEL_TARGET DP_TARGET_AVX2_F16C
+#include "tab/table_kernels.inc"
+#undef DP_LEVEL_TARGET
+}  // namespace avx2
 
-// NT=true swaps the vector stores for non-temporal ones (same bits, no
-// read-for-ownership) — picked by the batch entry point for output runs that
-// stream far past the cache; the caller fences after the run.
-template <bool NT>
-DP_TARGET_AVX2 void blocked_deriv_avx2(const double* base, double t, std::size_t m,
-                                       std::size_t nblk, double* g, double* dg) {
-  using namespace simd;
-  const v4d vt = v4_set1(t);
-  const v4d two = v4_set1(2.0), three = v4_set1(3.0), four = v4_set1(4.0),
-            five = v4_set1(5.0);
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    if (ch0 + kL <= m) {
-      for (std::size_t q = 0; q < kL; q += 4) {
-        const double* cq = c + q;
-        const v4d c1 = v4_load(cq + 1 * kL), c2 = v4_load(cq + 2 * kL),
-                  c3 = v4_load(cq + 3 * kL), c4 = v4_load(cq + 4 * kL),
-                  c5 = v4_load(cq + 5 * kL);
-        v4d y = v4_fmadd(vt, c5, c4);
-        y = v4_fmadd(vt, y, c3);
-        y = v4_fmadd(vt, y, c2);
-        y = v4_fmadd(vt, y, c1);
-        y = v4_fmadd(vt, y, v4_load(cq + 0 * kL));
-        v4d d = v4_fmadd(vt, v4_mul(five, c5), v4_mul(four, c4));
-        d = v4_fmadd(vt, d, v4_mul(three, c3));
-        d = v4_fmadd(vt, d, v4_mul(two, c2));
-        d = v4_fmadd(vt, d, c1);
-        if constexpr (NT) {
-          v4_stream(g + ch0 + q, y);
-          v4_stream(dg + ch0 + q, d);
-        } else {
-          v4_storeu(g + ch0 + q, y);
-          v4_storeu(dg + ch0 + q, d);
-        }
-      }
-    } else {
-      for (std::size_t l = 0; l < m - ch0; ++l) {
-        const double* cl = c + l;
-        const double c1 = cl[1 * kL], c2 = cl[2 * kL], c3 = cl[3 * kL], c4 = cl[4 * kL],
-                     c5 = cl[5 * kL];
-        g[ch0 + l] = std::fma(
-            t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c5, c4), c3), c2), c1),
-            cl[0 * kL]);
-        dg[ch0 + l] = std::fma(
-            t, std::fma(t, std::fma(t, std::fma(t, 5.0 * c5, 4.0 * c4), 3.0 * c3), 2.0 * c2),
-            c1);
-      }
-    }
-  }
-}
-
-// Blocked walk, AVX-512: one 16-channel block is exactly two 8-lane vectors
-// per coefficient stream — the paper's dual-SVE-pipeline shape.
-DP_TARGET_AVX512 void blocked_value_avx512(const double* base, double t, std::size_t m,
-                                           std::size_t nblk, double* g) {
-  using namespace simd;
-  const v8d vt = v8_set1(t);
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    if (ch0 + kL <= m) {
-      for (std::size_t q = 0; q < kL; q += 8) {
-        const double* cq = c + q;
-        v8d y = v8_fmadd(vt, v8_load(cq + 5 * kL), v8_load(cq + 4 * kL));
-        y = v8_fmadd(vt, y, v8_load(cq + 3 * kL));
-        y = v8_fmadd(vt, y, v8_load(cq + 2 * kL));
-        y = v8_fmadd(vt, y, v8_load(cq + 1 * kL));
-        y = v8_fmadd(vt, y, v8_load(cq + 0 * kL));
-        v8_storeu(g + ch0 + q, y);
-      }
-    } else {
-      for (std::size_t l = 0; l < m - ch0; ++l) {
-        const double* cl = c + l;
-        g[ch0 + l] = std::fma(
-            t,
-            std::fma(t,
-                     std::fma(t, std::fma(t, std::fma(t, cl[5 * kL], cl[4 * kL]), cl[3 * kL]),
-                              cl[2 * kL]),
-                     cl[1 * kL]),
-            cl[0 * kL]);
-      }
-    }
-  }
-}
-
-template <bool NT>
-DP_TARGET_AVX512 void blocked_deriv_avx512(const double* base, double t, std::size_t m,
-                                           std::size_t nblk, double* g, double* dg) {
-  using namespace simd;
-  const v8d vt = v8_set1(t);
-  const v8d two = v8_set1(2.0), three = v8_set1(3.0), four = v8_set1(4.0),
-            five = v8_set1(5.0);
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    if (ch0 + kL <= m) {
-      for (std::size_t q = 0; q < kL; q += 8) {
-        const double* cq = c + q;
-        const v8d c1 = v8_load(cq + 1 * kL), c2 = v8_load(cq + 2 * kL),
-                  c3 = v8_load(cq + 3 * kL), c4 = v8_load(cq + 4 * kL),
-                  c5 = v8_load(cq + 5 * kL);
-        v8d y = v8_fmadd(vt, c5, c4);
-        y = v8_fmadd(vt, y, c3);
-        y = v8_fmadd(vt, y, c2);
-        y = v8_fmadd(vt, y, c1);
-        y = v8_fmadd(vt, y, v8_load(cq + 0 * kL));
-        v8d d = v8_fmadd(vt, v8_mul(five, c5), v8_mul(four, c4));
-        d = v8_fmadd(vt, d, v8_mul(three, c3));
-        d = v8_fmadd(vt, d, v8_mul(two, c2));
-        d = v8_fmadd(vt, d, c1);
-        if constexpr (NT) {
-          v8_stream(g + ch0 + q, y);
-          v8_stream(dg + ch0 + q, d);
-        } else {
-          v8_storeu(g + ch0 + q, y);
-          v8_storeu(dg + ch0 + q, d);
-        }
-      }
-    } else {
-      for (std::size_t l = 0; l < m - ch0; ++l) {
-        const double* cl = c + l;
-        const double c1 = cl[1 * kL], c2 = cl[2 * kL], c3 = cl[3 * kL], c4 = cl[4 * kL],
-                     c5 = cl[5 * kL];
-        g[ch0 + l] = std::fma(
-            t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c5, c4), c3), c2), c1),
-            cl[0 * kL]);
-        dg[ch0 + l] = std::fma(
-            t, std::fma(t, std::fma(t, std::fma(t, 5.0 * c5, 4.0 * c4), 3.0 * c3), 2.0 * c2),
-            c1);
-      }
-    }
-  }
-}
+namespace avx512 {
+constexpr simd::Level kLevel = simd::Level::AVX512;
+#define DP_LEVEL_TARGET DP_TARGET_AVX512
+#include "tab/table_kernels.inc"
+#undef DP_LEVEL_TARGET
+}  // namespace avx512
 
 #endif  // DP_SIMD_X86
 
-using BlockedValueFn = void (*)(const double*, double, std::size_t, std::size_t, double*);
-using BlockedDerivFn = void (*)(const double*, double, std::size_t, std::size_t, double*,
-                                double*);
-
-BlockedValueFn pick_blocked_value(simd::Level lvl) {
-#if DP_SIMD_X86
-  if (lvl == simd::Level::AVX512) return blocked_value_avx512;
-  if (lvl == simd::Level::AVX2) return blocked_value_avx2;
-#else
-  (void)lvl;
-#endif
-  return blocked_value_scalar;
+/// The level a Coef table walks at: the active level, except that the half
+/// table has no in-register widen on AVX2 hardware without F16C and walks
+/// at Level::Scalar there (AoS and blocked then both run the seed
+/// expressions — the layouts stay bitwise identical).
+template <class Coef>
+simd::Level walk_level() {
+  const simd::Level lvl = simd::active();
+  if constexpr (std::is_same_v<Coef, _Float16>)
+    if (lvl == simd::Level::AVX2 && !simd::has_f16c()) return simd::Level::Scalar;
+  return lvl;
 }
+
+template <class Coef, class T = compute_t<Coef>>
+using WalkFn = void (*)(const Coef*, T, std::size_t, std::size_t, T*, T*);
 
 // `nt` selects the non-temporal store variant at the vector levels; the
 // scalar kernel keeps the seed stores (Level::Scalar is the seed path).
-BlockedDerivFn pick_blocked_deriv(simd::Level lvl, bool nt) {
+template <class Coef>
+WalkFn<Coef> pick_walk(simd::Level lvl, bool nt) {
 #if DP_SIMD_X86
-  if (lvl == simd::Level::AVX512) return nt ? blocked_deriv_avx512<true> : blocked_deriv_avx512<false>;
-  if (lvl == simd::Level::AVX2) return nt ? blocked_deriv_avx2<true> : blocked_deriv_avx2<false>;
+  if (lvl == simd::Level::AVX512)
+    return nt ? avx512::blocked_deriv<true, Coef> : avx512::blocked_deriv<false, Coef>;
+  if (lvl == simd::Level::AVX2)
+    return nt ? avx2::blocked_deriv<true, Coef> : avx2::blocked_deriv<false, Coef>;
 #else
   (void)lvl;
   (void)nt;
 #endif
-  return blocked_deriv_scalar;
+  return blocked_deriv_scalar<Coef>;
 }
 
 }  // namespace
 
-TabulatedEmbedding::TabulatedEmbedding(const nn::EmbeddingNet& net,
-                                       const TabulationSpec& spec) {
+template <class Coef>
+Table<Coef>::Table(const nn::EmbeddingNet& net, const TabulationSpec& spec)
+  requires std::is_same_v<Coef, double>
+{
   DP_CHECK(spec.hi > spec.lo && spec.interval > 0.0);
   m_ = net.output_dim();
   m_pad_ = (m_ + kLane - 1) / kLane * kLane;
@@ -319,91 +184,74 @@ TabulatedEmbedding::TabulatedEmbedding(const nn::EmbeddingNet& net,
   rebuild_blocked();
 }
 
-void TabulatedEmbedding::rebuild_blocked() {
+template <class Coef>
+void Table<Coef>::rebuild_blocked() {
   // Blocked layout: the k-th coefficient of channel ch lands in stream k of
-  // block ch/16 at lane ch%16 — the per-16 transpose of Sec 3.5.1.
-  coef_blocked_.assign(n_ * m_pad_ * 6, 0.0);
+  // block ch/16 at lane ch%16 — the per-16 transpose of Sec 3.5.1 (on the
+  // already-rounded coefficients: no re-rounding).
+  coef_blocked_.assign(n_ * m_pad_ * 6, Coef(0));
   const std::size_t nblk = m_pad_ / kLane;
   for (std::size_t i = 0; i < n_; ++i)
     for (std::size_t ch = 0; ch < m_; ++ch) {
       const std::size_t b = ch / kLane, l = ch % kLane;
-      const double* src = coef_.data() + (i * m_ + ch) * 6;
-      double* blk = coef_blocked_.data() + ((i * nblk + b) * 6) * kLane;
+      const Coef* src = coef_.data() + (i * m_ + ch) * 6;
+      Coef* blk = coef_blocked_.data() + ((i * nblk + b) * 6) * kLane;
       for (std::size_t k = 0; k < 6; ++k) blk[k * kLane + l] = src[k];
     }
 }
 
-std::size_t TabulatedEmbedding::locate(double s, double& t) const {
-  double u = (s - lo_) * inv_h_;
+template <class Coef>
+std::size_t Table<Coef>::locate(value_type s, value_type& t) const {
+  const value_type u = (s - lo_) * inv_h_;
   std::size_t i;
-  if (u < 0.0) {
+  if (u < value_type(0)) {
     i = 0;
     extrapolations_.bump();
-  } else if (u >= static_cast<double>(n_)) {
+  } else if (u >= static_cast<value_type>(n_)) {
     i = n_ - 1;
     if (s > hi_) extrapolations_.bump();
   } else {
     i = static_cast<std::size_t>(u);
   }
-  t = s - (lo_ + h_ * static_cast<double>(i));
+  t = s - (lo_ + h_ * static_cast<value_type>(i));
   return i;
 }
 
-void TabulatedEmbedding::eval(double s, double* g) const {
-  double t;
+template <class Coef>
+void Table<Coef>::eval(value_type s, value_type* g) const {
+  value_type t;
   const std::size_t i = locate(s, t);
-  const double* base = coef_.data() + i * m_ * 6;
+  const Coef* base = coef_.data() + i * m_ * 6;
 #if DP_SIMD_X86
-  if (simd::active() != simd::Level::Scalar) {
+  if (walk_level<Coef>() != simd::Level::Scalar) {
     aos_value_fma(base, t, m_, g);
     return;
   }
 #endif
-  for (std::size_t ch = 0; ch < m_; ++ch) {
-    const double* c = base + ch * 6;
-    g[ch] = c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * (c[4] + t * c[5]))));
-  }
+  aos_value_scalar(base, t, m_, g);
 }
 
-void TabulatedEmbedding::eval_with_deriv(double s, double* g, double* dg) const {
-  double t;
+template <class Coef>
+void Table<Coef>::eval_with_deriv(value_type s, value_type* g, value_type* dg) const {
+  value_type t;
   const std::size_t i = locate(s, t);
-  const double* base = coef_.data() + i * m_ * 6;
+  const Coef* base = coef_.data() + i * m_ * 6;
 #if DP_SIMD_X86
-  if (simd::active() != simd::Level::Scalar) {
+  if (walk_level<Coef>() != simd::Level::Scalar) {
     aos_deriv_fma(base, t, m_, g, dg);
     return;
   }
 #endif
-  for (std::size_t ch = 0; ch < m_; ++ch) {
-    const double* c = base + ch * 6;
-    g[ch] = c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * (c[4] + t * c[5]))));
-    dg[ch] = c[1] + t * (2 * c[2] + t * (3 * c[3] + t * (4 * c[4] + t * 5 * c[5])));
-  }
+  aos_deriv_scalar(base, t, m_, g, dg);
 }
 
-void TabulatedEmbedding::eval_blocked(double s, double* g) const {
-  double t;
-  const std::size_t i = locate(s, t);
-  const std::size_t nblk = m_pad_ / kLane;
-  const double* base = coef_blocked_.data() + i * nblk * 6 * kLane;
-  pick_blocked_value(simd::active())(base, t, m_, nblk, g);
-}
-
-void TabulatedEmbedding::eval_with_deriv_blocked(double s, double* g, double* dg) const {
-  double t;
-  const std::size_t i = locate(s, t);
-  const std::size_t nblk = m_pad_ / kLane;
-  const double* base = coef_blocked_.data() + i * nblk * 6 * kLane;
-  pick_blocked_deriv(simd::active(), /*nt=*/false)(base, t, m_, nblk, g, dg);
-}
-
-void TabulatedEmbedding::eval_with_deriv_blocked_batch(const double* s, std::size_t s_stride,
-                                                       std::size_t count, double* g,
-                                                       double* dg, std::size_t out_stride,
-                                                       bool streaming) const {
+template <class Coef>
+void Table<Coef>::eval_with_deriv_blocked_batch(const value_type* s, std::size_t s_stride,
+                                                std::size_t count, value_type* g,
+                                                value_type* dg, std::size_t out_stride,
+                                                bool streaming) const {
   // One dispatch for the whole run of slots; locate() per element keeps the
-  // extrapolation telemetry exactly as the per-slot entry point would.
+  // extrapolation telemetry exactly as per-slot calls would.
   //
   // The streaming hint swaps the vector stores for non-temporal ones — for
   // output runs far past the LLC the regular store's read-for-ownership
@@ -411,20 +259,16 @@ void TabulatedEmbedding::eval_with_deriv_blocked_batch(const double* s, std::siz
   // every output row is 64-byte aligned (the stream intrinsics require it);
   // the stored bits are identical either way, so the parity suite covers
   // both variants with one oracle.
-  bool nt = false;
-#if DP_SIMD_X86
-  nt = streaming && simd::active() != simd::Level::Scalar &&
-       ((reinterpret_cast<std::uintptr_t>(g) | reinterpret_cast<std::uintptr_t>(dg) |
-         (out_stride * sizeof(double))) %
-            64 ==
-        0);
-#else
-  (void)streaming;
-#endif
-  const BlockedDerivFn fn = pick_blocked_deriv(simd::active(), nt);
+  const simd::Level lvl = walk_level<Coef>();
+  const bool nt = streaming && lvl != simd::Level::Scalar &&
+                  ((reinterpret_cast<std::uintptr_t>(g) | reinterpret_cast<std::uintptr_t>(dg) |
+                    (out_stride * sizeof(value_type))) %
+                       64 ==
+                   0);
+  const WalkFn<Coef> fn = pick_walk<Coef>(lvl, nt);
   const std::size_t nblk = m_pad_ / kLane;
   for (std::size_t k = 0; k < count; ++k) {
-    double t;
+    value_type t;
     const std::size_t i = locate(s[k * s_stride], t);
     fn(coef_blocked_.data() + i * nblk * 6 * kLane, t, m_, nblk, g + k * out_stride,
        dg + k * out_stride);
@@ -449,7 +293,10 @@ T read_pod(std::istream& is) {
 constexpr std::uint32_t kTableMagic = 0x44505442;  // "DPTB"
 }  // namespace
 
-void TabulatedEmbedding::save(std::ostream& os) const {
+template <class Coef>
+void Table<Coef>::save(std::ostream& os) const
+  requires std::is_same_v<Coef, double>
+{
   write_pod(os, kTableMagic);
   write_pod<std::uint64_t>(os, m_);
   write_pod<std::uint64_t>(os, n_);
@@ -459,9 +306,12 @@ void TabulatedEmbedding::save(std::ostream& os) const {
            static_cast<std::streamsize>(coef_.size() * sizeof(double)));
 }
 
-TabulatedEmbedding TabulatedEmbedding::load(std::istream& is) {
+template <class Coef>
+Table<Coef> Table<Coef>::load(std::istream& is)
+  requires std::is_same_v<Coef, double>
+{
   DP_CHECK_MSG(read_pod<std::uint32_t>(is) == kTableMagic, "bad table magic");
-  TabulatedEmbedding t;
+  Table t;
   t.m_ = read_pod<std::uint64_t>(is);
   t.n_ = read_pod<std::uint64_t>(is);
   t.lo_ = read_pod<double>(is);
@@ -477,5 +327,9 @@ TabulatedEmbedding TabulatedEmbedding::load(std::istream& is) {
   t.rebuild_blocked();
   return t;
 }
+
+template class Table<double>;
+template class Table<float>;
+template class Table<_Float16>;
 
 }  // namespace dp::tab

@@ -1,125 +1,5 @@
-// Single-precision coefficient table — the storage half of the paper's
-// mixed-precision variants (Table 1 lists mixed-single / mixed-half rows for
-// the baseline; making the *optimized* code mixed-precision is the paper's
-// stated future work, explored here).
-//
-// Coefficients are truncated to float; evaluation runs in float and is
-// reduced in double by the callers. Table memory halves.
+// The float and half tables are the Table<float> / Table<_Float16>
+// instantiations in tab/table.hpp; this header keeps the old include path.
 #pragma once
 
-#include "common/aligned.hpp"
 #include "tab/table.hpp"
-
-namespace dp::tab {
-
-class TabulatedEmbeddingSP {
- public:
-  TabulatedEmbeddingSP() = default;
-  explicit TabulatedEmbeddingSP(const TabulatedEmbedding& ref);
-
-  std::size_t output_dim() const { return m_; }
-  std::size_t bytes() const { return coef_.size() * sizeof(float); }
-  float interval() const { return h_; }
-
-  /// g[0..M) in float.
-  void eval(float s, float* g) const;
-  void eval_with_deriv(float s, float* g, float* dg) const;
-
-  /// Batched blocked walk over `count` float inputs at s[k * s_stride];
-  /// g/dg rows at g + k * out_stride. The float analog of
-  /// TabulatedEmbedding::eval_with_deriv_blocked_batch: one SIMD dispatch
-  /// for the run, 16-float vectors at AVX-512 (a whole kLane block per
-  /// instruction), identical results to `count` eval_with_deriv calls at
-  /// Level::Scalar and within the per-level ulp contract otherwise.
-  /// `streaming` as in the double table (non-temporal stores, same bits,
-  /// honored only when every output row is 64-byte aligned).
-  void eval_with_deriv_blocked_batch(const float* s, std::size_t s_stride,
-                                     std::size_t count, float* g, float* dg,
-                                     std::size_t out_stride, bool streaming = false) const;
-
-  /// Out-of-range evaluations, mirroring TabulatedEmbedding::extrapolations()
-  /// so the --health extrapolation-rate watchdog sees the mixed path too.
-  std::size_t extrapolations() const { return extrapolations_.value(); }
-
- private:
-  /// Rebuilds the blocked (SVE-style) float layout from the AoS copy.
-  void rebuild_blocked();
-  std::size_t locate(float s, float& t) const {
-    float u = (s - lo_) * inv_h_;
-    std::size_t i;
-    if (u < 0.0f) {
-      i = 0;
-      extrapolations_.bump();
-    } else if (u >= static_cast<float>(n_)) {
-      i = n_ - 1;
-      if (s > hi_) extrapolations_.bump();
-    } else {
-      i = static_cast<std::size_t>(u);
-    }
-    t = s - (lo_ + h_ * static_cast<float>(i));
-    return i;
-  }
-
-  std::size_t m_ = 0, m_pad_ = 0, n_ = 0;
-  float lo_ = 0, hi_ = 1, h_ = 1, inv_h_ = 1;
-  AlignedVector<float> coef_;          // AoS: [(i * m + ch) * 6 + k]
-  AlignedVector<float> coef_blocked_;  // [(i * nblk + b) * 6 + k][lane]
-  mutable RelaxedCounter extrapolations_;  // relaxed; see table.hpp
-};
-
-/// Half-precision (IEEE fp16) coefficient storage — the analog of the
-/// paper's mixed-half arithmetic (Table 1). Coefficients are stored as
-/// _Float16 and widened to float for evaluation: another 2x memory saving
-/// over the single-precision table, at a visible accuracy cost (the paper:
-/// "the mixed-precision versions of code still has accuracy problems").
-class TabulatedEmbeddingHP {
- public:
-  using half_t = _Float16;
-
-  TabulatedEmbeddingHP() = default;
-  explicit TabulatedEmbeddingHP(const TabulatedEmbedding& ref);
-
-  std::size_t output_dim() const { return m_; }
-  std::size_t bytes() const { return coef_.size() * sizeof(half_t); }
-
-  void eval(float s, float* g) const;
-  void eval_with_deriv(float s, float* g, float* dg) const;
-
-  /// Batched blocked walk (see TabulatedEmbeddingSP): coefficients are
-  /// widened half -> float in registers (vcvtph2ps at the vector levels,
-  /// exact either way), so the AVX2 variant additionally needs F16C — when
-  /// the CPU lacks it the half table dispatches scalar at AVX2.
-  void eval_with_deriv_blocked_batch(const float* s, std::size_t s_stride,
-                                     std::size_t count, float* g, float* dg,
-                                     std::size_t out_stride, bool streaming = false) const;
-
-  /// Mirrors TabulatedEmbedding::extrapolations() for the --health watchdog.
-  std::size_t extrapolations() const { return extrapolations_.value(); }
-
- private:
-  /// Rebuilds the blocked (SVE-style) half layout from the AoS copy.
-  void rebuild_blocked();
-  std::size_t locate(float s, float& t) const {
-    float u = (s - lo_) * inv_h_;
-    std::size_t i;
-    if (u < 0.0f) {
-      i = 0;
-      extrapolations_.bump();
-    } else if (u >= static_cast<float>(n_)) {
-      i = n_ - 1;
-      if (s > hi_) extrapolations_.bump();
-    } else {
-      i = static_cast<std::size_t>(u);
-    }
-    t = s - (lo_ + h_ * static_cast<float>(i));
-    return i;
-  }
-
-  std::size_t m_ = 0, m_pad_ = 0, n_ = 0;
-  float lo_ = 0, hi_ = 1, h_ = 1, inv_h_ = 1;
-  AlignedVector<half_t> coef_;          // AoS: [(i * m + ch) * 6 + k]
-  AlignedVector<half_t> coef_blocked_;  // [(i * nblk + b) * 6 + k][lane]
-  mutable RelaxedCounter extrapolations_;  // relaxed; see table.hpp
-};
-
-}  // namespace dp::tab

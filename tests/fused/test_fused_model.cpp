@@ -84,37 +84,6 @@ TEST(FusedDP, RedundancySkipIsExact) {
     EXPECT_LT(norm(atoms_a.force[i] - atoms_c.force[i]), 1e-10);
 }
 
-TEST(FusedDP, BlockedTableIdentical) {
-  PathFixture su(2, 43);
-  TabulatedDP tab(su.model, su.spec);
-  FusedDP aos(tab, {.blocked_table = false});
-  FusedDP blk(tab, {.blocked_table = true});
-  md::NeighborList nl(aos.cutoff(), 0.5);
-  nl.build(su.sys.box, su.sys.atoms.pos);
-  md::Atoms atoms_a = su.sys.atoms;
-  md::Atoms atoms_b = su.sys.atoms;
-  EXPECT_DOUBLE_EQ(aos.compute(su.sys.box, atoms_a, nl).energy,
-                   blk.compute(su.sys.box, atoms_b, nl).energy);
-  for (std::size_t i = 0; i < atoms_a.size(); ++i)
-    EXPECT_DOUBLE_EQ(norm(atoms_a.force[i] - atoms_b.force[i]), 0.0);
-}
-
-TEST(FusedDP, RowCacheStagingIdentical) {
-  // One-table-walk staging must be an exact rewrite of the two-walk kernel.
-  PathFixture su(2, 49);
-  TabulatedDP tab(su.model, su.spec);
-  FusedDP walk2(tab, {.cache_rows = false});
-  FusedDP walk1(tab, {.cache_rows = true});
-  md::NeighborList nl(walk2.cutoff(), 0.5);
-  nl.build(su.sys.box, su.sys.atoms.pos);
-  md::Atoms atoms_a = su.sys.atoms;
-  md::Atoms atoms_b = su.sys.atoms;
-  EXPECT_DOUBLE_EQ(walk2.compute(su.sys.box, atoms_a, nl).energy,
-                   walk1.compute(su.sys.box, atoms_b, nl).energy);
-  for (std::size_t i = 0; i < atoms_a.size(); ++i)
-    EXPECT_DOUBLE_EQ(norm(atoms_a.force[i] - atoms_b.force[i]), 0.0);
-}
-
 TEST(FusedDP, CloseToBaselineNetwork) {
   PathFixture su(1, 44, /*interval=*/0.002);
   TabulatedDP tab(su.model, su.spec);

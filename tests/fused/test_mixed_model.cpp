@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
 
+#include "common/cost.hpp"
+#include "common/timer.hpp"
 #include "fused/fused_model.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
-#include "tab/table_sp.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "tab/table.hpp"
 
 namespace dp::fused {
 namespace {
@@ -118,6 +126,52 @@ TEST(MixedFusedDP, NewtonThirdLawStillExact) {
   // Pair gradients are applied antisymmetrically, so cancellation is exact
   // regardless of their precision.
   EXPECT_NEAR(norm(total), 0.0, 1e-9);
+}
+
+TEST(MixedFusedDP, RegistersTheSameStagesAsFusedDP) {
+  // Both models run one compute body, so a run explains itself the same way
+  // on either path: the same kernel-category stage spans and timers, the
+  // slot counter and the descriptor cost entry.
+  MixedFixture f(1, 66);
+  TabulatedDP tab(f.model, f.spec);
+  md::NeighborList nl(tab.model().config().rcut, 1.0);
+  nl.build(f.sys.box, f.sys.atoms.pos);
+  auto& tracer = obs::TraceCollector::instance();
+  const bool was_enabled = obs::TraceCollector::enabled();
+  const char* const stages[] = {"fused.env_mat", "fused.descriptor", "fused.prod_force"};
+  for (int which = 0; which < 2; ++which) {
+    std::unique_ptr<md::ForceField> ff;
+    if (which == 0)
+      ff = std::make_unique<FusedDP>(tab);
+    else
+      ff = std::make_unique<MixedFusedDP>(tab);
+    const char* label = which == 0 ? "FusedDP" : "MixedFusedDP";
+    const std::uint64_t slots0 =
+        obs::MetricsRegistry::instance().counter("fused.slots_processed").value();
+    const double flops0 = CostRegistry::instance().get("fused.descriptor").flops;
+    std::map<std::string, std::uint64_t> calls0;
+    for (const char* stage : stages) calls0[stage] = TimerRegistry::instance().get(stage).calls;
+
+    tracer.clear();
+    tracer.set_enabled(true);
+    md::Atoms atoms = f.sys.atoms;
+    ff->compute(f.sys.box, atoms, nl);
+    tracer.set_enabled(was_enabled);
+    std::ostringstream trace;
+    tracer.write_chrome_trace(trace);
+    tracer.clear();
+
+    for (const char* stage : stages) {
+      EXPECT_NE(trace.str().find("\"name\":\"" + std::string(stage) + "\",\"cat\":\"kernel\""),
+                std::string::npos)
+          << label << " " << stage;
+      EXPECT_EQ(TimerRegistry::instance().get(stage).calls, calls0[stage] + 1)
+          << label << " " << stage;
+    }
+    EXPECT_GT(obs::MetricsRegistry::instance().counter("fused.slots_processed").value(), slots0)
+        << label;
+    EXPECT_GT(CostRegistry::instance().get("fused.descriptor").flops, flops0) << label;
+  }
 }
 
 TEST(MixedFusedDP, ShortNveRunIsStable) {

@@ -1,6 +1,6 @@
 // Parameterized sweep over the fused kernel's option matrix: every
-// combination of {skip_padding, blocked_table, cache_rows, env_kernel} must
-// give the same physics — the options are pure performance rewrites.
+// combination of {skip_padding, env_kernel} must give the same physics — the
+// options are pure performance rewrites.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -14,22 +14,20 @@ namespace {
 using tab::TabulatedDP;
 using tab::TabulationSpec;
 
-using OptParam = std::tuple<bool /*skip*/, bool /*blocked*/, bool /*cache*/, int /*env*/>;
+using OptParam = std::tuple<bool /*skip*/, int /*env*/>;
 
 class FusedOptionsSweep : public ::testing::TestWithParam<OptParam> {};
 
 TEST_P(FusedOptionsSweep, MatchesReferenceConfiguration) {
-  const auto [skip, blocked, cache, env] = GetParam();
+  const auto [skip, env] = GetParam();
   core::DPModel model(core::ModelConfig::tiny(2), 91);
   TabulationSpec spec{0.0, TabulatedDP::s_max(model.config(), 0.9), 0.01};
   TabulatedDP tab(model, spec);
   auto sys = md::make_water(1, 1, 1, 92);
 
-  FusedDP reference(tab, {});  // defaults: skip, AoS, no cache, optimized env
+  FusedDP reference(tab, {});  // defaults: skip, optimized env
   FusedOptions opts;
   opts.skip_padding = skip;
-  opts.blocked_table = blocked;
-  opts.cache_rows = cache;
   opts.env_kernel = env == 0 ? core::EnvMatKernel::Baseline : core::EnvMatKernel::Optimized;
   FusedDP variant(tab, opts);
 
@@ -50,18 +48,15 @@ TEST_P(FusedOptionsSweep, MatchesReferenceConfiguration) {
 }
 
 std::string opt_name(const ::testing::TestParamInfo<OptParam>& info) {
-  const auto [skip, blocked, cache, env] = info.param;
+  const auto [skip, env] = info.param;
   std::string n;
   n += skip ? "skip_" : "noskip_";
-  n += blocked ? "blk_" : "aos_";
-  n += cache ? "cache_" : "walk2_";
   n += env == 0 ? "envbase" : "envopt";
   return n;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOptions, FusedOptionsSweep,
-                         ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                                            ::testing::Bool(), ::testing::Values(0, 1)),
+                         ::testing::Combine(::testing::Bool(), ::testing::Values(0, 1)),
                          opt_name);
 
 }  // namespace

@@ -85,22 +85,6 @@ TEST(CompressedDP, ForcesAreExactGradientOfCompressedEnergy) {
   }
 }
 
-TEST(CompressedDP, BlockedLayoutGivesIdenticalResults) {
-  PathFixture su(1, 34);
-  TabulatedDP tab(su.model, su.spec);
-  CompressedDP aos(tab, /*use_blocked_layout=*/false);
-  CompressedDP blk(tab, /*use_blocked_layout=*/true);
-  md::NeighborList nl(aos.cutoff(), 1.0);
-  nl.build(su.sys.box, su.sys.atoms.pos);
-  md::Atoms atoms_a = su.sys.atoms;
-  md::Atoms atoms_b = su.sys.atoms;
-  const double ea = aos.compute(su.sys.box, atoms_a, nl).energy;
-  const double eb = blk.compute(su.sys.box, atoms_b, nl).energy;
-  EXPECT_DOUBLE_EQ(ea, eb);
-  for (std::size_t i = 0; i < atoms_a.size(); ++i)
-    EXPECT_DOUBLE_EQ(norm(atoms_a.force[i] - atoms_b.force[i]), 0.0);
-}
-
 TEST(CompressedDP, VirialMatchesBaseline) {
   PathFixture su(1, 35);
   TabulatedDP tab(su.model, su.spec);

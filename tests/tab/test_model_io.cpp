@@ -38,7 +38,7 @@ TEST(TableIo, StreamRoundTripIsBitIdentical) {
       EXPECT_DOUBLE_EQ(da[ch], db[ch]);
     }
     // The blocked layout must be rebuilt on load too.
-    loaded.eval_blocked(s, b.data());
+    loaded.eval_with_deriv_blocked_batch(&s, 1, 1, b.data(), db.data(), 16);
     for (int ch = 0; ch < 16; ++ch) EXPECT_DOUBLE_EQ(a[ch], b[ch]);
   }
 }

@@ -96,10 +96,9 @@ TEST(TabulatedEmbedding, BlockedLayoutIdenticalToAoS) {
   for (int k = 0; k < 200; ++k) {
     const double s = rng.uniform(0.0, 2.0);
     table.eval(s, g_a.data());
-    table.eval_blocked(s, g_b.data());
+    table.eval_with_deriv_blocked_batch(&s, 1, 1, g_b.data(), d_b.data(), 32);
     for (std::size_t ch = 0; ch < 32; ++ch) EXPECT_DOUBLE_EQ(g_a[ch], g_b[ch]);
     table.eval_with_deriv(s, g_a.data(), d_a.data());
-    table.eval_with_deriv_blocked(s, g_b.data(), d_b.data());
     for (std::size_t ch = 0; ch < 32; ++ch) {
       EXPECT_DOUBLE_EQ(g_a[ch], g_b[ch]);
       EXPECT_DOUBLE_EQ(d_a[ch], d_b[ch]);
@@ -112,10 +111,10 @@ TEST(TabulatedEmbedding, BlockedLayoutHandlesNonMultipleOf16Channels) {
   Rng rng(8);
   net.init_random(rng);
   TabulatedEmbedding table(net, {0.0, 1.0, 0.05});
-  std::vector<double> g_a(20), g_b(20);
+  std::vector<double> g_a(20), g_b(20), d_b(20);
   for (double s : {0.05, 0.41, 0.93}) {
     table.eval(s, g_a.data());
-    table.eval_blocked(s, g_b.data());
+    table.eval_with_deriv_blocked_batch(&s, 1, 1, g_b.data(), d_b.data(), 20);
     for (std::size_t ch = 0; ch < 20; ++ch) EXPECT_DOUBLE_EQ(g_a[ch], g_b[ch]);
   }
 }

@@ -78,7 +78,7 @@ TEST_P(TableSweep, BlockedLayoutBitIdentical) {
   for (int k = 0; k < 25; ++k) {
     const double s = rng.uniform(0.0, 2.0);
     table_->eval_with_deriv(s, a.data(), da.data());
-    table_->eval_with_deriv_blocked(s, b.data(), db.data());
+    table_->eval_with_deriv_blocked_batch(&s, 1, 1, b.data(), db.data(), m_);
     for (std::size_t ch = 0; ch < m_; ++ch) {
       EXPECT_DOUBLE_EQ(a[ch], b[ch]);
       EXPECT_DOUBLE_EQ(da[ch], db[ch]);

@@ -216,24 +216,25 @@ class RuleTest(unittest.TestCase):
         # float vector types, _ps intrinsics, fp16 vectors and _ph/cvtph
         # intrinsics, and the wide mask type.
         self.assertIn("raw-intrinsics",
-                      rules("src/tab/table_sp.cpp", "__m256 y = _mm256_loadu_ps(p);\n"))
+                      rules("src/tab/table_kernels.inc", "__m256 y = _mm256_loadu_ps(p);\n"))
         self.assertIn("raw-intrinsics",
                       rules("src/fused/mixed_model.cpp", "__m512 v;\n"))
         self.assertIn("raw-intrinsics",
-                      rules("src/tab/table_sp.cpp", "x = _mm512_fmadd_ps(a, b, c);\n"))
+                      rules("src/tab/table.cpp", "x = _mm512_fmadd_ps(a, b, c);\n"))
         self.assertIn("raw-intrinsics",
-                      rules("src/tab/table_sp.cpp", "__m256h hvec;\n"))
+                      rules("src/tab/table.cpp", "__m256h hvec;\n"))
         self.assertIn("raw-intrinsics",
-                      rules("src/tab/table_sp.cpp",
+                      rules("src/tab/table_kernels.inc",
                             "auto w = _mm256_cvtph_ps(_mm_loadu_si128(p));\n"))
         self.assertIn("raw-intrinsics",
                       rules("src/fused/mixed_model.cpp", "__mmask16 k = 0xffff;\n"))
-        # The float wrappers are the sanctioned spelling outside simd.hpp.
+        # The lane-generic wrappers are the sanctioned spelling outside
+        # simd.hpp.
         self.assertNotIn("raw-intrinsics",
-                         rules("src/tab/table_sp.cpp",
-                               "simd::f16 y = simd::f16_fmadd(a, b, c);\n"))
+                         rules("src/tab/table_kernels.inc",
+                               "auto y = simd::Lanes<float, kLevel>::fmadd(a, b, c);\n"))
         ok = ("#include <immintrin.h>\n"
-              "__m512 f16_loadu(const float* p) { return _mm512_loadu_ps(p); }\n")
+              "static __m512 loadu(const float* p) { return _mm512_loadu_ps(p); }\n")
         self.assertNotIn("raw-intrinsics", rules("src/common/simd.hpp", ok))
 
     def test_hot_pragma_simd(self):
@@ -366,13 +367,13 @@ class RuleTest(unittest.TestCase):
               "{ g_cv.notify_all(); CondVar* c = &g_cv; }\n")
         self.assertIn("signal-safety", rules("src/obs/foo.cpp", cv))
 
-    def test_sp_precision(self):
-        self.assertIn("sp-precision", rules("src/tab/table_sp.hpp", "double h_;\n"))
-        self.assertIn("sp-precision", rules("src/tab/table_sp.cpp", "long double x;\n"))
-        # Prose mentioning double is fine; other tab files are unrestricted.
-        self.assertNotIn("sp-precision",
-                         rules("src/tab/table_sp.cpp", "// reduced in double by callers\nfloat x;\n"))
-        self.assertNotIn("sp-precision", rules("src/tab/table.cpp", "double h_;\n"))
+    def test_kernel_includes_are_linted(self):
+        # The per-level kernel bodies live in .inc files; the tree walk must
+        # pick them up so every rule above covers them.
+        root = os.path.dirname(_TOOLS)
+        files = dplint.collect_files(root, [])
+        self.assertIn("src/tab/table_kernels.inc", files)
+        self.assertIn("src/fused/fused_kernels.inc", files)
 
 
 class TreeTest(unittest.TestCase):
