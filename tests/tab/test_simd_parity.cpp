@@ -399,20 +399,26 @@ TEST(SimdParity, LanesMatchesLevel) {
   EXPECT_EQ(simd::lanes(simd::Level::Scalar), 1u);
   EXPECT_EQ(simd::lanes(simd::Level::AVX2), 4u);
   EXPECT_EQ(simd::lanes(simd::Level::AVX512), 8u);
-  EXPECT_EQ(simd::lanes_sp(simd::Level::Scalar), 1u);
-  EXPECT_EQ(simd::lanes_sp(simd::Level::AVX2), 8u);
-  EXPECT_EQ(simd::lanes_sp(simd::Level::AVX512), 16u);
   for (simd::Level lvl : available_levels()) {
     LevelGuard guard(lvl);
     EXPECT_EQ(simd::lanes(), simd::lanes(lvl));
-    EXPECT_EQ(simd::lanes_sp(), simd::lanes_sp(lvl));
-    // Float lanes are always exactly twice the double lanes.
-    EXPECT_EQ(simd::lanes_sp(), 2 * simd::lanes() - (lvl == simd::Level::Scalar ? 1 : 0));
     EXPECT_EQ(simd::active(), lvl);
   }
   EXPECT_STREQ(simd::name(simd::Level::Scalar), "scalar");
   EXPECT_STREQ(simd::name(simd::Level::AVX2), "avx2");
   EXPECT_STREQ(simd::name(simd::Level::AVX512), "avx512");
+}
+
+TEST(SimdParitySP, LanesSpMatchesLevel) {
+  EXPECT_EQ(simd::lanes_sp(simd::Level::Scalar), 1u);
+  EXPECT_EQ(simd::lanes_sp(simd::Level::AVX2), 8u);
+  EXPECT_EQ(simd::lanes_sp(simd::Level::AVX512), 16u);
+  for (simd::Level lvl : available_levels()) {
+    LevelGuard guard(lvl);
+    EXPECT_EQ(simd::lanes_sp(), simd::lanes_sp(lvl));
+    // Float lanes are always exactly twice the double lanes.
+    EXPECT_EQ(simd::lanes_sp(), 2 * simd::lanes() - (lvl == simd::Level::Scalar ? 1 : 0));
+  }
 }
 
 }  // namespace
