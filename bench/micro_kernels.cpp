@@ -1,5 +1,5 @@
 // Micro-benchmarks of the hot kernels: the small GEMM shapes of the DP
-// pipeline, quintic table evaluation in both layouts, and neighbor-list
+// pipeline (and the fitting net's per-atom vs per-tile first layer), quintic table evaluation in both layouts, and neighbor-list
 // construction.
 #include <benchmark/benchmark.h>
 
@@ -42,6 +42,25 @@ void BM_Affine_FittingLayer(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * k * n));
+}
+
+// The copper fitting net's first layer, (16 x 2048) * (2048 x 240) + bias,
+// over one tile of 16 atoms: /1 runs it as 16 one-row affine calls (the
+// per-atom GEMV, weights streamed once per atom), /16 as one register-blocked
+// gemm_bias over the tile (weights streamed once per tile). Same bits.
+void BM_FitTile_CopperShape(benchmark::State& state) {
+  constexpr std::size_t kTile = 16, k = 2048, n = 240;
+  const std::size_t rows_per_call = static_cast<std::size_t>(state.range(0));
+  auto x = rand_vec(kTile * k, 7), w = rand_vec(k * n, 8), b = rand_vec(n, 9);
+  std::vector<double> y(kTile * n);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kTile; r += rows_per_call)
+      dp::nn::gemm_bias(x.data() + r * k, w.data(), b.data(), y.data() + r * n, rows_per_call,
+                        k, n);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kTile * k * n));
 }
 
 // Each iteration walks one run of kRun s values, stepping 0.001 through the
@@ -120,6 +139,7 @@ void BM_NeighborListBuild(benchmark::State& state) {
 
 BENCHMARK(BM_GemmTn_EnvContraction)->Arg(138)->Arg(500);
 BENCHMARK(BM_Affine_FittingLayer);
+BENCHMARK(BM_FitTile_CopperShape)->Arg(1)->Arg(16);
 BENCHMARK(BM_Poly5TableAoS);
 BENCHMARK(BM_Poly5TableBlocked);
 BENCHMARK(BM_EmbeddingNetRow);

@@ -109,8 +109,8 @@ md::ForceResult BaselineDP::compute(const md::Box& box, md::Atoms& atoms,
       }
       for (double& v : a_mat_) v *= scale;
 
-      atom_energy_[i] = descriptor_fit_atom(model_.fitting(atoms.type[i]), a_mat_.data(), m,
-                                            m_sub, scale, scratch_, g_a_.data());
+      descriptor_fit_tile(model_.fitting(atoms.type[i]), a_mat_.data(), 1, m, m_sub, scale,
+                          scratch_, g_a_.data(), &atom_energy_[i]);
       out.energy += atom_energy_[i];
 
       // dE/dG rows and dE/dR~ rows for every stored slot of this atom.

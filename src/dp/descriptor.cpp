@@ -200,17 +200,21 @@ void descriptor_backward(const double* a_mat, const double* g_d, std::size_t m,
   descriptor_backward_scalar(a_mat, g_d, m, m_sub, g_a);
 }
 
-double descriptor_fit_atom(const nn::FittingNet& fit, const double* a_mat, std::size_t m,
-                           std::size_t m_sub, double scale, AtomKernelScratch& scratch,
-                           double* g_a) {
-  scratch.d_flat.resize(m_sub * m);
-  scratch.g_d.resize(m_sub * m);
-  descriptor_forward(a_mat, m, m_sub, scratch.d_flat.data());
-  const double energy = fit.forward(scratch.d_flat.data(), scratch.fit_ws);
-  fit.backward(scratch.fit_ws, scratch.g_d.data());
-  descriptor_backward(a_mat, scratch.g_d.data(), m, m_sub, g_a);
-  for (std::size_t k = 0; k < 4 * m; ++k) g_a[k] *= scale;
-  return energy;
+void descriptor_fit_tile(const nn::FittingNet& fit, const double* a_mat, std::size_t rows,
+                         std::size_t m, std::size_t m_sub, double scale,
+                         FitTileScratch& scratch, double* g_a, double* energies) {
+  const std::size_t dim = m_sub * m;
+  double* d_flat = fit.tile_input(scratch.fit_ws, rows);
+  scratch.g_d.resize(rows * dim);
+  for (std::size_t r = 0; r < rows; ++r)
+    descriptor_forward(a_mat + r * 4 * m, m, m_sub, d_flat + r * dim);
+  fit.forward_tile(scratch.fit_ws, energies);
+  fit.backward_tile(scratch.fit_ws, scratch.g_d.data());
+  for (std::size_t r = 0; r < rows; ++r) {
+    double* ga = g_a + r * 4 * m;
+    descriptor_backward(a_mat + r * 4 * m, scratch.g_d.data() + r * dim, m, m_sub, ga);
+    for (std::size_t k = 0; k < 4 * m; ++k) ga[k] *= scale;
+  }
 }
 
 }  // namespace dp::core

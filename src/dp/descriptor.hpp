@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "nn/fitting_net.hpp"
 
@@ -23,17 +24,50 @@ void descriptor_forward(const double* a_mat, std::size_t m, std::size_t m_sub, d
 void descriptor_backward(const double* a_mat, const double* g_d, std::size_t m,
                          std::size_t m_sub, double* g_a);
 
-/// Scratch for descriptor_fit_atom, reused across atoms.
-struct AtomKernelScratch {
+/// Atoms per fitting-net tile in the fused kernels. A compile-time constant,
+/// not an option: 16 rows keep the tile workspace under 1 MB per thread on
+/// the paper's copper net while the first layer's weights stream once per
+/// 16 atoms instead of once per atom (DESIGN.md, fused kernel).
+inline constexpr std::size_t kFitTile = 16;
+
+/// Calls tile(type, atoms, rows) over the atoms [begin, end) grouped by
+/// type: each type's atoms in ascending order, at most kFitTile per call.
+template <class Fn>
+void for_each_type_tile(const std::vector<int>& types, int ntypes, std::size_t begin,
+                        std::size_t end, Fn&& tile) {
+  std::size_t atoms[kFitTile];
+  for (int t = 0; t < ntypes; ++t) {
+    std::size_t rows = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (types[i] != t) continue;
+      atoms[rows++] = i;
+      if (rows == kFitTile) {
+        tile(t, atoms, rows);
+        rows = 0;
+      }
+    }
+    if (rows > 0) tile(t, atoms, rows);
+  }
+}
+
+/// Scratch for descriptor_fit_tile, reused across tiles. The descriptor
+/// rows are built in place in the fitting workspace's tile input.
+struct FitTileScratch {
   nn::FittingNet::Workspace fit_ws;
-  std::vector<double> d_flat, g_d;
+  AlignedVector<double> g_d;  ///< dE/dD, rows x (m_sub * m)
+  std::size_t bytes() const { return fit_ws.bytes() + g_d.capacity() * sizeof(double); }
 };
 
 /// The shared middle of every inference path: from the (already 1/N_m
-/// scaled) A matrix of one atom to its energy and the scaled gradient
-/// g_a = dE/dA * scale (ready to contract against R~ and G rows).
-double descriptor_fit_atom(const nn::FittingNet& fit, const double* a_mat, std::size_t m,
-                           std::size_t m_sub, double scale, AtomKernelScratch& scratch,
-                           double* g_a);
+/// scaled) A matrices of a tile of `rows` same-type atoms (rows x 4m) to
+/// their energies and the scaled gradients g_a = dE/dA * scale (rows x 4m,
+/// ready to contract against R~ and G rows). The descriptor runs per row;
+/// the fitting net runs once over the tile, forward and backward, so each
+/// layer's weights stream once per tile instead of once per atom. Row r's
+/// results do not depend on `rows` or on r. BaselineDP and CompressedDP
+/// call it with rows = 1.
+void descriptor_fit_tile(const nn::FittingNet& fit, const double* a_mat, std::size_t rows,
+                         std::size_t m, std::size_t m_sub, double scale,
+                         FitTileScratch& scratch, double* g_a, double* energies);
 
 }  // namespace dp::core

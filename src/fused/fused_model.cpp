@@ -11,6 +11,7 @@
 #include "common/team.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace dp::fused {
 
@@ -147,8 +148,8 @@ void FusedKernel<Coef>::prepare(const ModelConfig& cfg, std::size_t n) {
     sc.row_cache.resize(nm * 2 * m);
     sc.a_t.resize(4 * m);
     sc.ga_t.resize(4 * m);
-    sc.a_mat.resize(4 * m);
-    sc.g_a.resize(4 * m);
+    sc.a_tile.resize(core::kFitTile * 4 * m);
+    sc.g_tile.resize(core::kFitTile * 4 * m);
   }
 }
 
@@ -182,7 +183,7 @@ md::ForceResult FusedKernel<Coef>::compute(const core::DPModel& model,
   prepare(cfg, n);
 
   std::size_t slots_processed = 0;
-  double energy_total = 0.0;
+  KernelCost fit_cost;
 
   {
     ScopedTimer timer_desc("fused.descriptor", "kernel");
@@ -195,6 +196,8 @@ md::ForceResult FusedKernel<Coef>::compute(const core::DPModel& model,
     // as prod_force): every thread runs the same kernel instance.
     const Rank1Fn<T> rank1_update = pick_rank1<T>(simd::active());
     const SlotGradientFn<T> slot_gradient = pick_slot_gradient<T>(simd::active());
+    // Team threads label their fused.fit spans with the caller's rank.
+    const int trace_rank = obs::TraceCollector::thread_rank();
     // Slots walked per (atom, type) block: the filled ones, or every
     // reserved slot of the dense layout when redundancy removal is off.
     auto slot_count = [&](std::size_t i, int ty) {
@@ -202,75 +205,110 @@ md::ForceResult FusedKernel<Coef>::compute(const core::DPModel& model,
                                           ? env_.count(i, ty)
                                           : cfg.sel[static_cast<std::size_t>(ty)]);
     };
+    auto cache_of = [&](ThreadScratch& sc, int ty) {
+      return sc.row_cache.data() + static_cast<std::size_t>(cfg.type_offset(ty)) * 2 * m;
+    };
+    // One batched blocked table walk per type block of atom i into the row
+    // cache (indexed by the dense in-atom offset in both env layouts). Pass 1
+    // and pass 2 each walk, so the cache holds one atom, not a tile.
+    auto walk = [&](ThreadScratch& sc, std::size_t i) {
+      for (int ty = 0; ty < cfg.ntypes; ++ty) {
+        const std::size_t cnt = slot_count(i, ty);
+        if (cnt == 0) continue;
+        // The s values sit in the first column of the contiguous env rows.
+        const double* rbase = env_.rmat_at(env_.block_begin(i, ty));
+        for (std::size_t k = 0; k < cnt; ++k) sc.s_col[k] = static_cast<T>(rbase[4 * k]);
+        T* cache0 = cache_of(sc, ty);
+        tables[model.pair_index(atoms.type[i], ty)].eval_with_deriv_blocked_batch(
+            sc.s_col.data(), 1, cnt, cache0, cache0 + m, 2 * m);
+      }
+    };
     BuildTeam& team = BuildTeam::team();
     auto body = [&](int tid, int nthreads) {
       ThreadScratch& sc = scratch_[static_cast<std::size_t>(tid)];
+      obs::TraceCollector::set_thread_rank(trace_rank);
       sc.slots_partial = 0;
-      sc.energy_partial = 0.0;
-      const std::size_t i_begin = chunk_bound(n, tid, nthreads);
-      const std::size_t i_end = chunk_bound(n, tid + 1, nthreads);
-      for (std::size_t i = i_begin; i < i_end; ++i) {
-        std::memset(sc.a_t.data(), 0, 4 * m * sizeof(T));
-
-        // ---- Pass 1: one batched table walk per type block into the row
-        // cache (indexed by the dense in-atom offset in both env layouts),
-        // then the rank-1 contraction over the cached value rows ----------
-        for (int ty = 0; ty < cfg.ntypes; ++ty) {
-          const tab::Table<Coef>& table = tables[model.pair_index(atoms.type[i], ty)];
-          const std::size_t base = env_.block_begin(i, ty);
-          const std::size_t cnt = slot_count(i, ty);
-          if (cnt == 0) continue;
-          // The s values sit in the first column of the contiguous env rows.
-          const double* rbase = env_.rmat_at(base);
-          for (std::size_t k = 0; k < cnt; ++k) sc.s_col[k] = static_cast<T>(rbase[4 * k]);
-          T* cache0 =
-              sc.row_cache.data() + static_cast<std::size_t>(cfg.type_offset(ty)) * 2 * m;
-          table.eval_with_deriv_blocked_batch(sc.s_col.data(), 1, cnt, cache0, cache0 + m,
-                                              2 * m);
-          for (std::size_t k = 0; k < cnt; ++k) {
-            const double* rrow = rbase + 4 * k;
-            const T r[4] = {static_cast<T>(rrow[0]), static_cast<T>(rrow[1]),
-                            static_cast<T>(rrow[2]), static_cast<T>(rrow[3])};
-            rank1_update(r, cache0 + k * 2 * m, m, sc.a_t.data());
+      sc.fit_cost = {};
+      double fit_seconds = 0.0;
+      auto tile = [&](int ct, const std::size_t* tile_atoms, std::size_t rows) {
+        // ---- Pass 1 per atom: walk, then the rank-1 contraction over the
+        // cached value rows into the atom's row of the tile's A ------------
+        for (std::size_t r = 0; r < rows; ++r) {
+          const std::size_t i = tile_atoms[r];
+          std::memset(sc.a_t.data(), 0, 4 * m * sizeof(T));
+          walk(sc, i);
+          for (int ty = 0; ty < cfg.ntypes; ++ty) {
+            const std::size_t cnt = slot_count(i, ty);
+            const double* rbase = env_.rmat_at(env_.block_begin(i, ty));
+            const T* cache0 = cache_of(sc, ty);
+            for (std::size_t k = 0; k < cnt; ++k) {
+              const double* rrow = rbase + 4 * k;
+              const T r4[4] = {static_cast<T>(rrow[0]), static_cast<T>(rrow[1]),
+                               static_cast<T>(rrow[2]), static_cast<T>(rrow[3])};
+              rank1_update(r4, cache0 + k * 2 * m, m, sc.a_t.data());
+            }
+            sc.slots_partial += cnt;
           }
-          sc.slots_partial += cnt;
+          double* a_row = sc.a_tile.data() + r * 4 * m;
+          for (std::size_t k = 0; k < 4 * m; ++k)
+            a_row[k] = static_cast<double>(sc.a_t[k]) * scale;
         }
 
-        // ---- Descriptor + fitting in double ------------------------------
-        for (std::size_t k = 0; k < 4 * m; ++k)
-          sc.a_mat[k] = static_cast<double>(sc.a_t[k]) * scale;
-        const double e_i = core::descriptor_fit_atom(model.fitting(atoms.type[i]),
-                                                     sc.a_mat.data(), m, m_sub, scale,
-                                                     sc.scratch, sc.g_a.data());
-        atom_energy_[i] = e_i;
-        sc.energy_partial += e_i;
-
-        // ---- Pass 2 from the cache: fuse dE/dR~ and dE/ds per slot -------
-        for (std::size_t k = 0; k < 4 * m; ++k) sc.ga_t[k] = static_cast<T>(sc.g_a[k]);
-        for (int ty = 0; ty < cfg.ntypes; ++ty) {
-          const std::size_t base = env_.block_begin(i, ty);
-          const T* cache0 =
-              sc.row_cache.data() + static_cast<std::size_t>(cfg.type_offset(ty)) * 2 * m;
-          const std::size_t cnt = slot_count(i, ty);
-          for (std::size_t k = 0; k < cnt; ++k) {
-            const double* rrow = env_.rmat_at(base + k);
-            const T r[4] = {static_cast<T>(rrow[0]), static_cast<T>(rrow[1]),
-                            static_cast<T>(rrow[2]), static_cast<T>(rrow[3])};
-            const T* row = cache0 + k * 2 * m;
-            slot_gradient(r, row, row + m, sc.ga_t.data(), m, g_rmat_.data() + (base + k) * 4);
-          }
+        // ---- Descriptor + fitting net over the tile, in double -----------
+        {
+          obs::TraceSpan span("fused.fit", "kernel");
+          WallTimer fit_timer;
+          const nn::FittingNet& fit = model.fitting(ct);
+          core::descriptor_fit_tile(fit, sc.a_tile.data(), rows, m, m_sub, scale, sc.fit,
+                                    sc.g_tile.data(), sc.e_tile);
+          fit_seconds += fit_timer.seconds();
+          // Forward + backward are two GEMMs per layer (2 FLOPs per
+          // multiply-add each); the weights stream once per tile and pass.
+          sc.fit_cost += {4.0 * static_cast<double>(rows) * fit.flops_per_eval(),
+                          2.0 * fit.weight_bytes(), 0.0};
         }
-        // Dense layout without skip_padding walked the padded tails above;
-        // their g_rmat rows were written too (and are never read by the
-        // scatter, which walks counts only).
-      }
+        for (std::size_t r = 0; r < rows; ++r) atom_energy_[tile_atoms[r]] = sc.e_tile[r];
+
+        // ---- Pass 2 per atom: re-walk into the cache, then fuse dE/dR~ and
+        // dE/ds per slot ----------------------------------------------------
+        for (std::size_t r = 0; r < rows; ++r) {
+          const std::size_t i = tile_atoms[r];
+          const double* g_row = sc.g_tile.data() + r * 4 * m;
+          for (std::size_t k = 0; k < 4 * m; ++k) sc.ga_t[k] = static_cast<T>(g_row[k]);
+          walk(sc, i);
+          for (int ty = 0; ty < cfg.ntypes; ++ty) {
+            const std::size_t base = env_.block_begin(i, ty);
+            const T* cache0 = cache_of(sc, ty);
+            const std::size_t cnt = slot_count(i, ty);
+            for (std::size_t k = 0; k < cnt; ++k) {
+              const double* rrow = env_.rmat_at(base + k);
+              const T r4[4] = {static_cast<T>(rrow[0]), static_cast<T>(rrow[1]),
+                               static_cast<T>(rrow[2]), static_cast<T>(rrow[3])};
+              const T* row = cache0 + k * 2 * m;
+              slot_gradient(r4, row, row + m, sc.ga_t.data(), m,
+                            g_rmat_.data() + (base + k) * 4);
+            }
+          }
+          // Dense layout without skip_padding walked the padded tails above;
+          // their g_rmat rows were written too (and are never read by the
+          // scatter, which walks counts only).
+        }
+      };
+      core::for_each_type_tile(atoms.type, cfg.ntypes, chunk_bound(n, tid, nthreads),
+                               chunk_bound(n, tid + 1, nthreads), tile);
+      // One registry add per team thread per call, never one per tile.
+      TimerRegistry::instance().add("fused.fit", fit_seconds);
     };
     team.run(team_size, BodyRef(body));
     for (const ThreadScratch& sc : scratch_) {
       slots_processed += sc.slots_partial;
-      energy_total += sc.energy_partial;
+      fit_cost += sc.fit_cost;
     }
   }
+  // Total energy: the per-atom energies folded in ascending atom order, so
+  // its bits do not depend on the thread count or the tiling.
+  double energy_total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) energy_total += atom_energy_[i];
 
   slots_processed_ = slots_processed;
   slots_total_ = n * static_cast<std::size_t>(nm);
@@ -298,6 +336,7 @@ md::ForceResult FusedKernel<Coef>::compute(const core::DPModel& model,
       {static_cast<double>(slots_processed) * 47.0 * static_cast<double>(m),
        static_cast<double>(slots_processed) * 12.0 * static_cast<double>(m) * sizeof(Coef),
        static_cast<double>(slots_processed) * 4.0 * sizeof(double)});
+  CostRegistry::instance().add("fused.fit", fit_cost);
 
   md::ForceResult out;
   out.energy = energy_total;

@@ -3,10 +3,11 @@
 // Kernel fusion: the tabulated embedding rows g(s_j) are evaluated and
 // immediately contracted into A = (1/N_m) R~^T G as rank-1 updates; the
 // embedding matrix G is never allocated over the frame (Fig 3's dashed
-// lines). Each atom's rows (value and derivative) are walked once, batched
-// over the atom's slot run in the blocked layout (Sec 3.5.1), into a
-// per-thread row cache that pass 2 reads back — the analog of the CUDA
-// kernel's shared-memory staging.
+// lines). Each atom's rows (value and derivative) are walked batched over
+// the atom's slot run in the blocked layout (Sec 3.5.1) into a per-thread
+// row cache — the analog of the CUDA kernel's shared-memory staging. The
+// fitting net runs over tiles of same-type atoms as one GEMM per layer
+// (Sec 2.2), so pass 2 re-walks each atom's rows after its tile's fit.
 //
 // Redundancy removal: with the compact CSR environment matrix (the default
 // `Optimized` kernel) only filled slots are ever stored or walked — the
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/cost.hpp"
 #include "dp/descriptor.hpp"
 #include "dp/env_mat.hpp"
 #include "dp/prod_force.hpp"
@@ -35,13 +37,18 @@ struct FusedOptions {
 /// The one fused compute body, shared by FusedDP (double tables) and
 /// MixedFusedDP (float or half tables). It computes the embedding stage in
 /// T = tab::compute_t<Coef> — double for FusedDP, float for MixedFusedDP —
-/// and everything else in double. Per atom:
-///   1. stage the atom's s column in T;
-///   2. one batched blocked table walk per type block into the per-thread
-///      row cache (value / derivative row pairs);
-///   3. rank-1 update of A in T from the cached value rows (Fig 4 (c));
-///   4. descriptor and fitting net in double;
-///   5. pass 2 from the cache: per-slot gradient in T, stored in double.
+/// and everything else in double. Each team thread walks its contiguous
+/// atom chunk one tile of up to core::kFitTile same-type atoms at a time:
+///   1. pass 1 per atom: stage its s column in T, one batched blocked table
+///      walk per type block into the per-thread row cache (value /
+///      derivative row pairs), rank-1 update of A in T from the cached value
+///      rows (Fig 4 (c)), A scaled into the atom's row of the tile;
+///   2. descriptor per row, then the fitting net over the whole tile as one
+///      GEMM per layer forward and one GEMM-NT per layer backward, in double;
+///   3. pass 2 per atom: re-walk the tables into the same row cache, then
+///      the per-slot gradient in T, stored in double.
+/// Re-walking instead of caching a tile of rows keeps the cache one atom
+/// deep (a tile of copper rows would be 16 MB per thread).
 template <class Coef>
 class FusedKernel {
  public:
@@ -66,17 +73,18 @@ class FusedKernel {
   struct ThreadScratch {
     AlignedVector<T> s_col;      ///< the atom's s values, one per slot
     AlignedVector<T> row_cache;  ///< value / derivative row pairs, stride 2M
-    AlignedVector<T> a_t, ga_t;  ///< A and dE/dA in the compute type
-    AlignedVector<double> a_mat, g_a;
-    core::AtomKernelScratch scratch;
+    AlignedVector<T> a_t, ga_t;  ///< A and dE/dA of one atom in the compute type
+    AlignedVector<double> a_tile, g_tile;  ///< A and dE/dA of a tile, kFitTile x 4M
+    double e_tile[core::kFitTile] = {};    ///< the tile's atom energies
+    core::FitTileScratch fit;
     // Per-thread reduction partials, folded by the master in ascending
     // thread order after the team joins (no shared reduction frame).
     std::size_t slots_partial = 0;
-    double energy_partial = 0.0;
+    KernelCost fit_cost;
     std::size_t bytes() const {
       return (s_col.capacity() + row_cache.capacity() + a_t.capacity() + ga_t.capacity()) *
                  sizeof(T) +
-             (a_mat.capacity() + g_a.capacity()) * sizeof(double);
+             (a_tile.capacity() + g_tile.capacity()) * sizeof(double) + fit.bytes();
     }
   };
   void prepare(const core::ModelConfig& cfg, std::size_t n);

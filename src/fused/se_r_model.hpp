@@ -18,6 +18,7 @@
 
 #include <vector>
 
+#include "dp/descriptor.hpp"
 #include "dp/env_mat.hpp"
 #include "dp/prod_force.hpp"
 #include "md/force_field.hpp"
@@ -46,10 +47,13 @@ class SeRFusedDP final : public md::ForceField {
   void prepare(std::size_t n);
 
   struct ThreadScratch {
-    AlignedVector<double> row_cache;  ///< value / derivative row pairs, stride 2M
-    AlignedVector<double> d_vec, g_d;
+    AlignedVector<double> row_cache;      ///< value / derivative row pairs, stride 2M
+    AlignedVector<double> g_tile;          ///< dE/dD of a tile, kFitTile x M
+    double e_tile[core::kFitTile] = {};    ///< the tile's atom energies
     nn::FittingNet::Workspace fit_ws;
-    double energy_partial = 0.0;  ///< folded by the master, ascending thread order
+    // Per-thread partials, folded by the master in ascending thread order.
+    std::size_t slots_partial = 0;
+    double fit_flops = 0.0;
   };
 
   const tab::TabulatedDP& tab_;

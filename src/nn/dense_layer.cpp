@@ -59,52 +59,71 @@ void DenseLayer::forward_batch(const Matrix& x, Matrix& y) const {
   }
 }
 
-void DenseLayer::forward_row(const double* x, double* y, double* act_save) const {
-  affine(x, w_.data(), b_.data(), y, in_, out_);
-  for (std::size_t j = 0; j < out_; ++j) y[j] = activate(y[j]);
-  if (act_save != nullptr)
-    for (std::size_t j = 0; j < out_; ++j) act_save[j] = y[j];
-  switch (shortcut_) {
-    case Shortcut::None:
-      break;
-    case Shortcut::Identity:
-      for (std::size_t j = 0; j < out_; ++j) y[j] += x[j];
-      break;
-    case Shortcut::Concat:
-      for (std::size_t j = 0; j < out_; ++j) y[j] += x[j % in_];
-      break;
+void DenseLayer::forward_tile(const double* x, std::size_t rows, double* y,
+                              double* act_save) const {
+  gemm_bias(x, w_.data(), b_.data(), y, rows, in_, out_);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* xr = x + r * in_;
+    double* yr = y + r * out_;
+    for (std::size_t j = 0; j < out_; ++j) yr[j] = activate(yr[j]);
+    if (act_save != nullptr)
+      for (std::size_t j = 0; j < out_; ++j) act_save[r * out_ + j] = yr[j];
+    switch (shortcut_) {
+      case Shortcut::None:
+        break;
+      case Shortcut::Identity:
+        for (std::size_t j = 0; j < out_; ++j) yr[j] += xr[j];
+        break;
+      case Shortcut::Concat:
+        for (std::size_t j = 0; j < out_; ++j) yr[j] += xr[j % in_];
+        break;
+    }
   }
 }
 
 void DenseLayer::backward_row(const double* g_out, const double* act_saved, double* g_in,
                               const double* x, Grads* grads) const {
-  // g_u[j] = g_out[j] * act'(u_j); stack buffer sized for the widest layer
-  // would be fragile, so use a small local vector (layers are <= a few
-  // hundred wide; this path is per-atom, not per-neighbor).
+  // g_u scratch sized for this layer (layers are <= a few hundred wide; the
+  // tile path passes workspace scratch instead).
   AlignedVector<double> g_u(out_);
-  for (std::size_t j = 0; j < out_; ++j)
-    g_u[j] = g_out[j] * activate_deriv_from_value(act_saved[j]);
-  gemv_t(g_u.data(), w_.data(), g_in, in_, out_);
+  backward_tile(g_out, act_saved, 1, g_in, g_u.data(), x, grads);
+}
+
+void DenseLayer::backward_tile(const double* g_out, const double* act_saved, std::size_t rows,
+                               double* g_in, double* g_u, const double* x,
+                               Grads* grads) const {
+  // g_u[j] = g_out[j] * act'(u_j), from the saved activation values.
+  for (std::size_t k = 0; k < rows * out_; ++k)
+    g_u[k] = g_out[k] * activate_deriv_from_value(act_saved[k]);
+  gemm_nt(g_u, w_.data(), g_in, rows, out_, in_);
   if (grads != nullptr) {
     DP_CHECK_MSG(x != nullptr, "weight gradients need the forward input");
-    // dE/dW = x (x) g_u, dE/db = g_u.
-    for (std::size_t p = 0; p < in_; ++p) {
-      const double xv = x[p];
-      double* wrow = grads->w.row(p);
+    // dE/dW = x (x) g_u, dE/db = g_u, one row after the other.
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* xr = x + r * in_;
+      const double* gur = g_u + r * out_;
+      for (std::size_t p = 0; p < in_; ++p) {
+        const double xv = xr[p];
+        double* wrow = grads->w.row(p);
 #pragma omp simd
-      for (std::size_t j = 0; j < out_; ++j) wrow[j] += xv * g_u[j];
+        for (std::size_t j = 0; j < out_; ++j) wrow[j] += xv * gur[j];
+      }
+      for (std::size_t j = 0; j < out_; ++j) grads->b[j] += gur[j];
     }
-    for (std::size_t j = 0; j < out_; ++j) grads->b[j] += g_u[j];
   }
-  switch (shortcut_) {
-    case Shortcut::None:
-      break;
-    case Shortcut::Identity:
-      for (std::size_t j = 0; j < in_; ++j) g_in[j] += g_out[j];
-      break;
-    case Shortcut::Concat:
-      for (std::size_t j = 0; j < out_; ++j) g_in[j % in_] += g_out[j];
-      break;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* gor = g_out + r * out_;
+    double* gir = g_in + r * in_;
+    switch (shortcut_) {
+      case Shortcut::None:
+        break;
+      case Shortcut::Identity:
+        for (std::size_t j = 0; j < in_; ++j) gir[j] += gor[j];
+        break;
+      case Shortcut::Concat:
+        for (std::size_t j = 0; j < out_; ++j) gir[j % in_] += gor[j];
+        break;
+    }
   }
 }
 

@@ -8,7 +8,8 @@
 //   * batched forward over many rows (baseline embedding path, GEMM-shaped),
 //   * forward "jet" propagation of (value, d/ds, d2/ds2) for the scalar-input
 //     embedding net (forces + tabulation need exact input derivatives),
-//   * reverse-mode for a single row (fitting net produces dE/dD).
+//   * reverse-mode over a tile of rows (fitting net produces dE/dD; one row
+//     is the 1-row tile).
 #pragma once
 
 #include <cstddef>
@@ -47,9 +48,17 @@ class DenseLayer {
   /// Batched forward: y (n x out) from x (n x in).
   void forward_batch(const Matrix& x, Matrix& y) const;
 
-  /// Single-row forward. `act_save` (length out, may be nullptr) receives the
-  /// pure activation value act(xW+b) needed by backward_row.
-  void forward_row(const double* x, double* y, double* act_save = nullptr) const;
+  /// Forward over a tile of `rows` rows on the register-blocked GEMM: x
+  /// (rows x in), y (rows x out). `act_save` (rows x out, may be nullptr)
+  /// receives the pure activation values act(xW+b) needed by backward_tile.
+  /// Row r's outputs are bitwise independent of `rows` and of r.
+  void forward_tile(const double* x, std::size_t rows, double* y,
+                    double* act_save = nullptr) const;
+
+  /// Single-row forward: forward_tile with rows = 1.
+  void forward_row(const double* x, double* y, double* act_save = nullptr) const {
+    forward_tile(x, 1, y, act_save);
+  }
 
   /// Parameter gradients accumulated by the training backward passes.
   struct Grads {
@@ -65,10 +74,16 @@ class DenseLayer {
     }
   };
 
-  /// Reverse mode for one row: g_in = dE/dx given g_out = dE/dy and the saved
-  /// activation values from forward_row. g_in must not alias g_out.
-  /// When `grads` is non-null, dE/dW and dE/db are accumulated into it
-  /// (requires the forward input row x).
+  /// Reverse mode over a tile of `rows` rows: g_in (rows x in) = dE/dx given
+  /// g_out (rows x out) = dE/dy and the saved activations of forward_tile.
+  /// `g_u` is caller scratch of rows x out. g_in must alias neither g_out nor
+  /// g_u. When `grads` is non-null, dE/dW and dE/db are accumulated into it,
+  /// row after row (requires the forward input x).
+  void backward_tile(const double* g_out, const double* act_saved, std::size_t rows,
+                     double* g_in, double* g_u, const double* x = nullptr,
+                     Grads* grads = nullptr) const;
+
+  /// Reverse mode for one row: backward_tile with rows = 1 and its own g_u.
   void backward_row(const double* g_out, const double* act_saved, double* g_in,
                     const double* x = nullptr, Grads* grads = nullptr) const;
 

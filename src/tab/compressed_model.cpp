@@ -117,8 +117,8 @@ md::ForceResult CompressedDP::compute(const md::Box& box, md::Atoms& atoms,
       }
       for (double& v : a_mat_) v *= scale;
 
-      atom_energy_[i] = core::descriptor_fit_atom(model.fitting(atoms.type[i]), a_mat_.data(),
-                                                  m, m_sub, scale, scratch_, g_a_.data());
+      core::descriptor_fit_tile(model.fitting(atoms.type[i]), a_mat_.data(), 1, m, m_sub, scale,
+                                scratch_, g_a_.data(), &atom_energy_[i]);
       out.energy += atom_energy_[i];
 
       for (int ty = 0; ty < cfg.ntypes; ++ty) {

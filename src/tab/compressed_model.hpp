@@ -60,7 +60,7 @@ class CompressedDP final : public md::ForceField {
   AlignedVector<double> g_rmat_;
   std::vector<nn::Matrix> g_by_type_, dg_by_type_;
   AlignedVector<double> a_mat_, g_a_, g_g_;
-  core::AtomKernelScratch scratch_;
+  core::FitTileScratch scratch_;
   std::vector<std::size_t> row_off_;  ///< ntypes * (n + 1) per-type row prefix
   std::vector<double> atom_energy_;
   std::size_t embedding_bytes_ = 0;

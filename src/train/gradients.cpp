@@ -147,7 +147,10 @@ double energy_with_gradients(const core::DPModel& model, const md::Box& box,
   const bool se_r = cfg.descriptor == core::DescriptorKind::SeR;
   double energy = 0.0;
   AlignedVector<double> a_mat(4 * m), g_a(4 * m);
-  core::AtomKernelScratch scratch;
+  struct {
+    nn::FittingNet::Workspace fit_ws;
+    AlignedVector<double> d_flat, g_d;
+  } scratch;
   for (std::size_t i = 0; i < n; ++i) {
     const int ct = atoms.type[i];
     if (se_r) {

@@ -1,7 +1,9 @@
 #include "fused/mixed_model.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -131,7 +133,9 @@ TEST(MixedFusedDP, NewtonThirdLawStillExact) {
 TEST(MixedFusedDP, RegistersTheSameStagesAsFusedDP) {
   // Both models run one compute body, so a run explains itself the same way
   // on either path: the same kernel-category stage spans and timers, the
-  // slot counter and the descriptor cost entry.
+  // slot counter and the descriptor and fit cost entries. fused.fit is
+  // accumulated per team thread (one timer add each per call) and spans
+  // every fitting-net tile.
   MixedFixture f(1, 66);
   TabulatedDP tab(f.model, f.spec);
   md::NeighborList nl(tab.model().config().rcut, 1.0);
@@ -139,6 +143,7 @@ TEST(MixedFusedDP, RegistersTheSameStagesAsFusedDP) {
   auto& tracer = obs::TraceCollector::instance();
   const bool was_enabled = obs::TraceCollector::enabled();
   const char* const stages[] = {"fused.env_mat", "fused.descriptor", "fused.prod_force"};
+  const std::uint64_t team = static_cast<std::uint64_t>(std::max(1, omp_get_max_threads()));
   for (int which = 0; which < 2; ++which) {
     std::unique_ptr<md::ForceField> ff;
     if (which == 0)
@@ -149,8 +154,10 @@ TEST(MixedFusedDP, RegistersTheSameStagesAsFusedDP) {
     const std::uint64_t slots0 =
         obs::MetricsRegistry::instance().counter("fused.slots_processed").value();
     const double flops0 = CostRegistry::instance().get("fused.descriptor").flops;
+    const double fit_flops0 = CostRegistry::instance().get("fused.fit").flops;
     std::map<std::string, std::uint64_t> calls0;
     for (const char* stage : stages) calls0[stage] = TimerRegistry::instance().get(stage).calls;
+    const std::uint64_t fit_calls0 = TimerRegistry::instance().get("fused.fit").calls;
 
     tracer.clear();
     tracer.set_enabled(true);
@@ -171,6 +178,16 @@ TEST(MixedFusedDP, RegistersTheSameStagesAsFusedDP) {
     EXPECT_GT(obs::MetricsRegistry::instance().counter("fused.slots_processed").value(), slots0)
         << label;
     EXPECT_GT(CostRegistry::instance().get("fused.descriptor").flops, flops0) << label;
+    EXPECT_NE(trace.str().find("\"name\":\"fused.fit\",\"cat\":\"kernel\""),
+              std::string::npos)
+        << label;
+    EXPECT_EQ(TimerRegistry::instance().get("fused.fit").calls, fit_calls0 + team) << label;
+    // Forward + backward over every atom: 4 FLOPs per multiply-add.
+    double want_fit_flops = 0.0;
+    for (int t : f.sys.atoms.type) want_fit_flops += 4.0 * f.model.fitting(t).flops_per_eval();
+    EXPECT_DOUBLE_EQ(CostRegistry::instance().get("fused.fit").flops - fit_flops0,
+                     want_fit_flops)
+        << label;
   }
 }
 

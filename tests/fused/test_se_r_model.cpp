@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cost.hpp"
 #include "common/timer.hpp"
 #include "fused/fused_model.hpp"
 #include "md/lattice.hpp"
@@ -195,6 +196,33 @@ TEST(SeR, CheaperThanSeA) {
   const double t_r = dp::time_per_call(
       [&] { se_r_ff.compute(radial.sys.box, radial.sys.atoms, nl); }, 0.1, 50, 5);
   EXPECT_LT(t_r, t_a);
+}
+
+TEST(SeR, FewerFlopsThanSeA) {
+  // The load-independent companion of CheaperThanSeA: the same comparison
+  // on the FLOPs each path reports to the CostRegistry, which no scheduler
+  // burst can flip.
+  SeRFixture radial(1, 8);
+  DPModel se_a_model(ModelConfig::tiny(), 8);
+  TabulatedDP se_a_tab(se_a_model,
+                       {0.0, TabulatedDP::s_max(se_a_model.config(), 0.9), 0.01});
+  FusedDP se_a_ff(se_a_tab);
+  SeRFusedDP se_r_ff(radial.tab);
+  md::NeighborList nl(se_a_ff.cutoff(), 1.0);
+  nl.build(radial.sys.box, radial.sys.atoms.pos);
+  auto flops = [](const char* a, const char* b) {
+    return CostRegistry::instance().get(a).flops + CostRegistry::instance().get(b).flops;
+  };
+  const double a0 = flops("fused.descriptor", "fused.fit");
+  md::Atoms atoms_a = radial.sys.atoms;
+  se_a_ff.compute(radial.sys.box, atoms_a, nl);
+  const double se_a = flops("fused.descriptor", "fused.fit") - a0;
+  const double r0 = flops("se_r.descriptor", "se_r.fit");
+  md::Atoms atoms_r = radial.sys.atoms;
+  se_r_ff.compute(radial.sys.box, atoms_r, nl);
+  const double se_r = flops("se_r.descriptor", "se_r.fit") - r0;
+  EXPECT_GT(se_r, 0.0);
+  EXPECT_LT(se_r, se_a);
 }
 
 }  // namespace

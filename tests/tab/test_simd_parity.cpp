@@ -339,8 +339,11 @@ TYPED_TEST(TableSimdParity, ExtrapolationTelemetryIsLevelIndependent) {
 
 TYPED_TEST(TableSimdParity, ForcesAreThreadCountInvariantAtEveryLevel) {
   // The fused kernel parallelizes over atoms with per-thread scratch and a
-  // deterministic master fold — forces must be bitwise identical at 1, 2
-  // and 8 threads, at every dispatch level, for every table storage type.
+  // deterministic master fold — forces and the total energy must be bitwise
+  // identical at 1, 2, 3 and 8 threads, at every dispatch level, for every
+  // table storage type. The two-type water system interleaves O and H
+  // atoms, so each thread's chunk splits into per-type fitting-net tiles
+  // whose boundaries move with the thread count.
   const core::DPModel model(core::ModelConfig::tiny(2), 31);
   const md::Configuration sys = md::make_water(1, 1, 1, 31);
   const tab::TabulationSpec spec{0.0, tab::TabulatedDP::s_max(model.config(), 0.9), 0.005};
@@ -350,19 +353,23 @@ TYPED_TEST(TableSimdParity, ForcesAreThreadCountInvariantAtEveryLevel) {
   for (simd::Level lvl : available_levels()) {
     LevelGuard guard(lvl);
     std::vector<Vec3> f1;
-    for (int threads : {1, 2, 8}) {
+    double e1 = 0.0;
+    for (int threads : {1, 2, 3, 8}) {
       omp_set_num_threads(threads);
       const auto ff = make_fused<typename TestFixture::Coef>(tab);
       md::NeighborList nl(ff->cutoff(), 1.0);
       nl.build(sys.box, sys.atoms.pos);
       md::Atoms atoms = sys.atoms;
-      ff->compute(sys.box, atoms, nl);
+      const double e = ff->compute(sys.box, atoms, nl).energy;
       if (threads == 1) {
         f1 = atoms.force;
+        e1 = e;
       } else {
         ASSERT_EQ(f1.size(), atoms.force.size());
         EXPECT_EQ(0, std::memcmp(f1.data(), atoms.force.data(), f1.size() * sizeof(Vec3)))
             << simd::name(lvl) << " threads " << threads;
+        EXPECT_EQ(0, std::memcmp(&e1, &e, sizeof(double)))
+            << simd::name(lvl) << " threads " << threads << " energy " << e1 << " vs " << e;
       }
     }
   }
