@@ -9,6 +9,11 @@
 //            [--thermostat none|langevin|berendsen] [--dump traj.xyz]
 //            [--thermo thermo.csv] [--interval H]
 //            [--trace out.trace.json] [--metrics out.metrics.jsonl]
+//   dpmd train --frames N --epochs N [--ranks N] --out model.dpm
+//
+// `dpmd` with no command prints the full flag list. Flags are strict: an
+// unknown flag, a missing value, or an option the selected MD driver cannot
+// honour is an error.
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -67,26 +72,76 @@ struct Args {
   bool has(const std::string& key) const { return options.count(key) > 0; }
 };
 
+// ---- strict flag parsing ---------------------------------------------------
+//
+// Every command has an allow-list: an unknown or misspelt flag is an error,
+// and so is a valued flag given without its value. Switches take no value;
+// --flight-recorder is the one flag whose value (a directory) is optional.
+
+enum class Arity { Value, Switch, Optional };
+using FlagSet = std::map<std::string, Arity>;
+
+const FlagSet* flags_for(const std::string& command) {
+  constexpr Arity V = Arity::Value;
+  static const std::map<std::string, FlagSet> kFlags = {
+      {"init", {{"system", V}, {"out", V}, {"seed", V}, {"demo", Arity::Switch},
+                {"descriptor", V}}},
+      {"info", {{"model", V}}},
+      {"compress", {{"model", V}, {"interval", V}, {"rmin", V}, {"out", V}}},
+      {"run",
+       {{"model", V},          {"compressed", V},      {"system", V},
+        {"data", V},           {"cells", V},           {"restart", V},
+        {"vacuum", V},         {"rmin", V},            {"interval", V},
+        {"path", V},           {"steps", V},           {"dt", V},
+        {"temp", V},           {"skin", V},            {"thermo-every", V},
+        {"rebuild-every", V},  {"thermostat", V},      {"pressure", V},
+        {"dump", V},           {"thermo", V},          {"save-checkpoint", V},
+        {"ranks", V},          {"transport", V},       {"rank", V},
+        {"world", V},          {"rendezvous", V},      {"timeout", V},
+        {"rebalance", Arity::Switch},                  {"rebalance-every", V},
+        {"force-dump", V},     {"trace", V},           {"metrics", V},
+        {"health", Arity::Switch},                     {"flight-recorder", Arity::Optional},
+        {"inject-segv", V},    {"inject-fatal", V}}},
+      {"train",
+       {{"frames", V}, {"epochs", V}, {"seed", V}, {"cells", V}, {"lr", V},
+        {"pref-f", V}, {"ranks", V}, {"out", V}, {"trace", V}, {"metrics", V}}},
+  };
+  const auto it = kFlags.find(command);
+  return it == kFlags.end() ? nullptr : &it->second;
+}
+
 Args parse(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
+  const FlagSet* allowed = flags_for(args.command);
+  if (allowed == nullptr) return args;  // main() prints the usage
   for (int i = 2; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) throw dp::Error("expected --option, got " + key);
     key = key.substr(2);
+    std::string value;
+    bool has_value = false;
     if (const auto eq = key.find('='); eq != std::string::npos) {
       // --key=value spelling
-      args.options[key.substr(0, eq)] = key.substr(eq + 1);
-      continue;
+      value = key.substr(eq + 1);
+      key.resize(eq);
+      has_value = true;
     }
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+    const auto spec = allowed->find(key);
+    if (spec == allowed->end())
+      throw dp::Error("unknown flag --" + key + " for 'dpmd " + args.command + "'");
+    if (spec->second == Arity::Switch) {
+      if (has_value) throw dp::Error("flag --" + key + " takes no value");
+    } else if (!has_value && i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       // Assign through a std::string temporary: string::operator=(const
       // char*) trips GCC 12's -Wrestrict false positive (PR105329) once
       // inlined into main, and this file builds with -Werror.
-      args.options[key] = std::string(argv[++i]);
-    } else {
-      args.options[key] = std::string("1");  // boolean flag
+      value = std::string(argv[++i]);
+      has_value = true;
     }
+    if (spec->second == Arity::Value && (!has_value || value.empty()))
+      throw dp::Error("flag --" + key + " needs a value");
+    args.options[key] = value;
   }
   return args;
 }
@@ -337,7 +392,44 @@ int cmd_compress(const Args& args) {
   return 0;
 }
 
+/// The serial and the distributed driver support different options. A flag
+/// the selected driver would not honour is an error, never silently dropped.
+void check_run_flags(const Args& args, bool distributed) {
+  const std::string mode = distributed
+                               ? "a distributed run (--ranks > 1 or --transport shm|tcp)"
+                               : "a serial run";
+  const auto reject = [&](const std::string& flag) {
+    throw dp::Error("--" + flag + " is not supported in " + mode);
+  };
+  if (distributed) {
+    if (args.get("path", "fused") != "fused") reject("path " + args.get("path"));
+    if (args.get("thermostat", "none") != "none")
+      reject("thermostat " + args.get("thermostat"));
+    for (const char* flag : {"pressure", "dump", "thermo", "restart", "save-checkpoint"})
+      if (args.has(flag)) reject(flag);
+  } else {
+    for (const char* flag : {"rebalance", "rebalance-every", "force-dump"})
+      if (args.has(flag)) reject(flag);
+  }
+}
+
 int cmd_run(const Args& args) {
+  // Transport selection: --transport/--rank/--world/--rendezvous/--timeout
+  // override the DP_* environment (transport_config_from_env). Anything but
+  // "threads" makes this process exactly one rank of a multi-process world.
+  dp::par::TransportConfig tcfg = dp::par::transport_config_from_env();
+  if (args.has("transport"))
+    tcfg.kind = dp::par::parse_transport_kind(args.get("transport"));
+  if (args.has("rank")) tcfg.rank = args.get_int("rank", 0);
+  if (args.has("world")) tcfg.world = args.get_int("world", 1);
+  if (args.has("rendezvous")) tcfg.rendezvous = args.get("rendezvous");
+  if (args.has("timeout")) tcfg.timeout_seconds = args.get_double("timeout", 60.0);
+  const bool multiprocess = tcfg.kind != dp::par::TransportKind::Threads;
+
+  // Domain-decomposed run: in-process rank threads (--ranks N) or one rank
+  // of a multi-process world (--transport shm|tcp).
+  const bool distributed = multiprocess || args.get_int("ranks", 1) > 1;
+  check_run_flags(args, distributed);
   const ObsOutputs obs_out = setup_observability(args);
   // Either a raw model (tables built on the fly) or a compressed bundle.
   std::unique_ptr<dp::tab::CompressedModel> bundle;
@@ -409,8 +501,8 @@ int cmd_run(const Args& args) {
   // DP_CHECK failure through obs::notify_fatal before it throws.
   const bool health_on = args.has("health");
   const bool flight_on = args.has("flight-recorder");
-  std::string flight_dir = args.get("flight-recorder", ".");
-  if (flight_dir == "1") flight_dir = ".";  // bare flag, no directory value
+  std::string flight_dir = args.get("flight-recorder");
+  if (flight_dir.empty()) flight_dir = ".";  // bare flag, no directory value
   if (health_on || flight_on) dp::set_fatal_hook(&fatal_bridge);
   if (flight_on) {
     dp::obs::install_crash_handlers();
@@ -424,22 +516,12 @@ int cmd_run(const Args& args) {
   const int inject_segv = args.get_int("inject-segv", -1);
   const int inject_fatal = args.get_int("inject-fatal", -1);
 
-  // Transport selection: --transport/--rank/--world/--rendezvous/--timeout
-  // override the DP_* environment (transport_config_from_env). Anything but
-  // "threads" makes this process exactly one rank of a multi-process world.
-  dp::par::TransportConfig tcfg = dp::par::transport_config_from_env();
-  if (args.has("transport"))
-    tcfg.kind = dp::par::parse_transport_kind(args.get("transport"));
-  if (args.has("rank")) tcfg.rank = args.get_int("rank", 0);
-  if (args.has("world")) tcfg.world = args.get_int("world", 1);
-  if (args.has("rendezvous")) tcfg.rendezvous = args.get("rendezvous");
-  if (args.has("timeout")) tcfg.timeout_seconds = args.get_double("timeout", 60.0);
-  const bool multiprocess = tcfg.kind != dp::par::TransportKind::Threads;
-
-  // Domain-decomposed run — in-process rank threads (--ranks N) or one rank
-  // of a multi-process world (--transport shm|tcp). Fused path only; the
-  // serial driver below additionally supports thermostats and dumps.
-  if (multiprocess || args.get_int("ranks", 1) > 1) {
+  // The distributed driver runs the fused se_a path only; check_run_flags
+  // rejected every option it would drop.
+  if (distributed) {
+    if (path != "fused")
+      throw dp::Error(path + " models are not supported in a distributed run (fused se_a "
+                      "only)");
     sc.rebuild_every = args.get_int("rebuild-every", 10);
     dp::TimerRegistry::instance().clear();
     dp::par::DistributedOptions dopts;
@@ -521,6 +603,7 @@ int cmd_run(const Args& args) {
   // A restart must keep the checkpointed velocities: the driver
   // re-thermalizes at sc.temperature, so stash and restore them.
   const auto restart_velocities = sys.atoms.vel;
+  sc.rebuild_every = args.get_int("rebuild-every", sc.rebuild_every);
 
   std::unique_ptr<dp::md::Thermostat> thermostat;
   const std::string tname = args.get("thermostat", "none");
@@ -665,24 +748,29 @@ int cmd_train(const Args& args) {
 int usage() {
   std::printf(
       "usage: dpmd <command> [--option value ...]\n"
-      "  init      create a model file       (--system water|copper --out F [--demo])\n"
+      "  init      create a model file       (--system water|copper --out F [--demo]\n"
+      "            [--seed N] [--descriptor se_a|se_r])\n"
       "  info      describe a model file     (--model F)\n"
       "  compress  tabulate a model          (--model F [--interval H] [--rmin R])\n"
       "  run       molecular dynamics        (--model F | --compressed F) --system S\n"
       "            [--path baseline|tabulated|fused|mixed] [--cells N] [--steps N]\n"
       "            [--dt FS] [--temp K] [--thermostat none|langevin|berendsen|nose-hoover]\n"
-      "            [--pressure BAR]\n"
+      "            [--pressure BAR] [--skin A] [--thermo-every K] [--interval H] [--rmin R]\n"
       "            [--dump traj.xyz] [--thermo out.csv] [--ranks N]\n"
       "            [--transport threads|shm|tcp --rank K --world N\n"
       "             --rendezvous NAME|HOST:PORT [--timeout S]]  (or DP_TRANSPORT,\n"
       "             DP_RANK, DP_WORLD, DP_RENDEZVOUS, DP_TIMEOUT env)\n"
       "            [--rebalance [--rebalance-every K]] [--vacuum FRAC]\n"
-      "            [--force-dump F]\n"
+      "            [--force-dump F] [--rebuild-every K]\n"
       "            [--restart ckpt] [--save-checkpoint ckpt] [--data lammps.data]\n"
       "            [--trace out.trace.json] [--metrics out.metrics.jsonl]\n"
       "            [--health] [--flight-recorder [DIR]]\n"
+      "            distributed runs (--ranks N > 1, --transport shm|tcp) are fused\n"
+      "            se_a only and reject --thermostat other than none, --pressure,\n"
+      "            --dump, --thermo, --restart, --save-checkpoint; serial runs\n"
+      "            reject --rebalance, --rebalance-every, --force-dump\n"
       "  train     fit a model to LJ labels    (--frames N --epochs N [--pref-f W] --out F\n"
-      "            [--trace F] [--metrics F])\n");
+      "            [--ranks N] [--seed N] [--cells N] [--lr R] [--trace F] [--metrics F])\n");
   return 2;
 }
 

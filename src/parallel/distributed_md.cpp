@@ -18,12 +18,6 @@ namespace dp::par {
 
 namespace {
 
-/// Tag base for the end-of-run state gather to rank 0. Stays below the
-/// transport layer's reserved collective space (Transport::kCollectiveTag)
-/// and above every per-step tag family (halo 0-5/200+/400+, migrate 600+,
-/// broadcast/gatherv 1<<20).
-constexpr int kGatherTagBase = 1 << 22;
-
 /// Step-time EWMA smoothing factor: ~the last three rebalance windows carry
 /// the weight, so one slow step (page fault, noisy neighbor) cannot yank a
 /// boundary.
@@ -635,44 +629,30 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
   if (opts.gather_state) {
     // State gather over the communicator itself (works over every backend,
     // unlike shared arrays): each rank packs [id, pos, vel, force] per
-    // atom; rank 0 receives in rank order and scatters by global id.
+    // atom; rank 0 scatters the rank-ordered records by global id.
+    std::vector<double> packed;
+    packed.reserve(10 * n_local);
+    for (std::size_t a = 0; a < n_local; ++a) {
+      packed.insert(packed.end(),
+                    {static_cast<double>(ids[a]),
+                     atoms.pos[a].x,   atoms.pos[a].y,   atoms.pos[a].z,
+                     atoms.vel[a].x,   atoms.vel[a].y,   atoms.vel[a].z,
+                     atoms.force[a].x, atoms.force[a].y, atoms.force[a].z});
+    }
+    const auto all = comm.gatherv(packed, 0);
     if (rank == 0) {
+      DP_CHECK(all.size() % 10 == 0);
       result.final_pos.resize(n_global);
       result.final_vel.resize(n_global);
       result.final_force.resize(n_global);
-      auto place = [&](const double* rec) {
+      for (std::size_t k = 0; k < all.size(); k += 10) {
+        const double* rec = all.data() + k;
         const auto id = static_cast<std::size_t>(rec[0]);
         DP_CHECK(id < n_global);
         result.final_pos[id] = {rec[1], rec[2], rec[3]};
         result.final_vel[id] = {rec[4], rec[5], rec[6]};
         result.final_force[id] = {rec[7], rec[8], rec[9]};
-      };
-      for (std::size_t a = 0; a < n_local; ++a) {
-        const double rec[10] = {static_cast<double>(ids[a]),
-                                atoms.pos[a].x,   atoms.pos[a].y,   atoms.pos[a].z,
-                                atoms.vel[a].x,   atoms.vel[a].y,   atoms.vel[a].z,
-                                atoms.force[a].x, atoms.force[a].y, atoms.force[a].z};
-        place(rec);
       }
-      for (int r = 1; r < nranks; ++r) {
-        Request req = comm.irecv(r, kGatherTagBase + r);
-        const auto packed = req.take_vec<double>();
-        DP_CHECK(packed.size() % 10 == 0);
-        for (std::size_t k = 0; k < packed.size() / 10; ++k) place(packed.data() + 10 * k);
-      }
-    } else {
-      std::vector<double> packed;
-      packed.reserve(10 * n_local);
-      for (std::size_t a = 0; a < n_local; ++a) {
-        packed.insert(packed.end(),
-                      {static_cast<double>(ids[a]),
-                       atoms.pos[a].x,   atoms.pos[a].y,   atoms.pos[a].z,
-                       atoms.vel[a].x,   atoms.vel[a].y,   atoms.vel[a].z,
-                       atoms.force[a].x, atoms.force[a].y, atoms.force[a].z});
-      }
-      // Buffered post: the transport owns the bytes once posted, so the
-      // Request can be dropped without waiting (see minimpi.hpp).
-      comm.isend_vec(0, kGatherTagBase + rank, packed);
     }
   }
 

@@ -17,7 +17,9 @@ struct Message {
 }  // namespace
 
 // The in-process "threads" Transport: ranks are threads of one process, and
-// a send is a buffered copy into the destination's mailbox.
+// a send is a buffered copy into the destination's mailbox. Barrier and
+// allreduce are the Transport base's, built on these mailboxes like on
+// every other backend, so reductions fold in rank order here too.
 //
 // Threading discipline (verified race-free under TSan; keep it that way):
 //
@@ -32,15 +34,6 @@ struct Message {
 //    and Request::test()/wait() match under the destination mailbox mutex
 //    via try_recv()/recv(), so a completed Request's payload is published
 //    exactly like a blocking receive's.
-//
-//  * Barrier: a single mutex guards (count, generation). The last arriving
-//    rank resets the count, bumps the generation and notifies; waiters sleep
-//    on "generation changed", which is immune to spurious wakeups and to a
-//    rank re-entering the next barrier before stragglers observed this one.
-//
-//  * Reductions: see allreduce() — every access to the shared accumulator is
-//    under reduce_mu_, and the barriers between the three phases order
-//    "last contribution" before "first copy-out" before "reset for reuse".
 //
 //  * Stats counters live in the Transport base as relaxed atomics: they are
 //    monotonic telemetry read after run_parallel() joins (the join supplies
@@ -114,69 +107,6 @@ class World final : public Transport {
     return false;
   }
 
-  void barrier(int /*me*/) override {
-    MutexUniqueLock lock(barrier_mu_);
-    const std::uint64_t gen = barrier_gen_;
-    if (++barrier_count_ == nranks_) {
-      barrier_count_ = 0;
-      ++barrier_gen_;
-      n_barriers_.fetch_add(1, std::memory_order_relaxed);
-      barrier_cv_.notify_all();
-    } else {
-      // Explicit loop, not wait(pred): the generation read must stay in
-      // this annotated body for the capability analysis to see it.
-      while (barrier_gen_ == gen) barrier_cv_.wait(lock);
-    }
-  }
-
-  /// Generic allreduce over a double vector: contributions fold into a
-  /// shared accumulator, separated from the copy-out and the reset by
-  /// barriers. Folds in *arrival* order — deterministic only for
-  /// order-insensitive reductions (max, or sums feeding telemetry); see the
-  /// rank-order Transport default the process backends use instead.
-  ///
-  /// Happens-before chain: (1) every rank folds its vector into reduce_buf_
-  /// under reduce_mu_; (2) the first barrier orders all folds before any
-  /// copy-out; (3) each rank copies the result under reduce_mu_; (4) the
-  /// second barrier orders all copy-outs before the reset, so a fast rank
-  /// entering the *next* allreduce cannot observe a half-reset buffer;
-  /// (5) the reset (first rank through, guarded by reduce_pending_ != 0)
-  /// and the third barrier make the buffer reusable before anyone returns.
-  std::vector<double> allreduce(int me, const std::vector<double>& x,
-                                bool take_max) override {
-    {
-      MutexLock lock(reduce_mu_);
-      if (reduce_pending_ == 0) {
-        reduce_buf_ = x;
-      } else {
-        DP_CHECK_MSG(reduce_buf_.size() == x.size(), "allreduce size mismatch across ranks");
-        for (std::size_t i = 0; i < x.size(); ++i) {
-          if (take_max)
-            reduce_buf_[i] = std::max(reduce_buf_[i], x[i]);
-          else
-            reduce_buf_[i] += x[i];
-        }
-      }
-      ++reduce_pending_;
-    }
-    barrier(me);  // all contributions in
-    std::vector<double> out;
-    {
-      MutexLock lock(reduce_mu_);
-      out = reduce_buf_;
-    }
-    barrier(me);  // all copies out before the buffer is reused
-    {
-      MutexLock lock(reduce_mu_);
-      if (reduce_pending_ != 0) {
-        reduce_pending_ = 0;
-        n_reductions_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    barrier(me);
-    return out;
-  }
-
  private:
   struct Mailbox {
     Mutex mu;
@@ -186,15 +116,6 @@ class World final : public Transport {
 
   int nranks_;
   std::vector<Mailbox> mailboxes_;
-
-  Mutex barrier_mu_;
-  CondVar barrier_cv_;
-  int barrier_count_ DP_GUARDED_BY(barrier_mu_) = 0;
-  std::uint64_t barrier_gen_ DP_GUARDED_BY(barrier_mu_) = 0;
-
-  Mutex reduce_mu_;
-  std::vector<double> reduce_buf_ DP_GUARDED_BY(reduce_mu_);
-  int reduce_pending_ DP_GUARDED_BY(reduce_mu_) = 0;
 };
 
 int Communicator::size() const { return transport_->size(); }

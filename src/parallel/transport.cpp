@@ -8,7 +8,7 @@
 
 namespace dp::par {
 
-// Default collectives over tagged p2p, usable by any backend.
+// The collectives of every backend, over tagged p2p.
 //
 // Shape: a gather to rank 0 (in rank order) followed by a broadcast from
 // rank 0. Tags live in the reserved kCollectiveTag space so they can never
@@ -24,7 +24,6 @@ void Transport::barrier(int me) {
   constexpr int kRelease = kCollectiveTag + 1;
   const int n = size();
   if (me == 0) {
-    std::vector<std::byte> scratch;
     for (int r = 1; r < n; ++r) (void)recv(0, r, kArrive);
     for (int r = 1; r < n; ++r) send(0, r, kRelease, nullptr, 0);
   } else {

@@ -4,9 +4,8 @@
 // is the contract; a Transport is how the bytes actually move. Three
 // backends implement it (DESIGN.md "Transport" has the full matrix):
 //
-//   * threads — the original in-process mailbox World (minimpi.cpp): ranks
-//     are threads of one process, sends are buffered copies, collectives run
-//     on shared memory. Default; zero behavior change vs the seed.
+//   * threads — the in-process mailbox World (minimpi.cpp): ranks are
+//     threads of one process, sends are buffered copies. Default.
 //   * shm — one POSIX shared-memory segment of N*N SPSC byte rings for
 //     co-located processes (transport_shm.cpp).
 //   * tcp — one socket per rank pair plus a reader/flush thread, for real
@@ -28,9 +27,10 @@ namespace dp::par {
 
 class Communicator;
 
-/// Aggregate communication counters. For the threads backend these are
-/// world totals (summed over ranks); for shm/tcp they are this process's
-/// view of its one rank.
+/// Aggregate communication counters, collective traffic included (a
+/// barrier or allreduce is counted as the p2p messages it is made of).
+/// Each counter is summed over the ranks the transport serves: world totals
+/// for the threads backend, this process's one rank for shm/tcp.
 struct CommStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
@@ -76,16 +76,14 @@ class Transport {
   /// Single nonblocking poll; true moves the payload into `out`.
   virtual bool try_recv(int me, int src, int tag, std::vector<std::byte>& out) = 0;
 
-  /// Collectives. The base implementations run on tagged p2p (gather to
-  /// rank 0 in rank order, then broadcast) over tags >= kCollectiveTag, so
-  /// any backend that moves bytes gets deterministic collectives for free:
-  /// the reduction folds in *rank* order at rank 0, independent of arrival
-  /// order. (The threads backend overrides both with its shared-memory
-  /// versions, which fold in arrival order — order-sensitive reductions are
-  /// only used for telemetry, never for forces; see DESIGN.md.)
-  virtual void barrier(int me);
-  virtual std::vector<double> allreduce(int me, const std::vector<double>& x,
-                                        bool take_max);
+  /// Collectives, the same on every backend: tagged p2p (gather to rank 0,
+  /// then broadcast) over tags >= kCollectiveTag. The reduction folds in
+  /// *rank* order at rank 0, independent of arrival order, so sums that
+  /// feed state (thermo, training gradients) are bitwise repeatable and
+  /// equal across transports. Non-virtual on purpose: a backend moves
+  /// bytes, it cannot bring its own fold.
+  void barrier(int me);
+  std::vector<double> allreduce(int me, const std::vector<double>& x, bool take_max);
 
   /// Tags at or above this value are reserved for the transport layer's own
   /// collective plumbing; Communicator-level code must stay below it.

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_annotations.hpp"
 #include "dp/baseline_model.hpp"
 #include "fused/fused_model.hpp"
 #include "fused/mixed_model.hpp"
 #include "md/lj.hpp"
 #include "md/simulation.hpp"
+#include "parallel/minimpi.hpp"
+#include "parallel/transport.hpp"
 #include "tab/tabulated_model.hpp"
+#include "transport_harness.hpp"
 
 namespace dp::par {
 namespace {
@@ -358,6 +362,41 @@ TEST(DistributedMd, RebalanceOffReproducesBitwise) {
   ASSERT_EQ(a.thermo.size(), b.thermo.size());
   for (std::size_t i = 0; i < a.thermo.size(); ++i)
     EXPECT_EQ(a.thermo[i].potential, b.thermo[i].potential);
+}
+
+TEST(DistributedMd, FourRanksThermoBitwiseRepeatable) {
+  // Kinetic and potential energy are 4-term allreduce sums. They fold in
+  // rank order on every transport, so repeated threads runs and an shm run
+  // agree bit for bit.
+  auto sys = md::make_fcc(6, 6, 6, 3.7, 63.5, 0.08, 59);
+  md::SimulationConfig sc = fast_sim(10);
+  DistributedOptions opts;
+  opts.grid = {2, 2, 1};
+  const auto factory = [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); };
+  const auto reference = run_distributed_md(4, sys, factory, sc, opts);
+  ASSERT_GE(reference.thermo.size(), 3u);
+
+  const auto expect_same_thermo = [&](const DistributedRunResult& r) {
+    ASSERT_EQ(r.thermo.size(), reference.thermo.size());
+    for (std::size_t i = 0; i < r.thermo.size(); ++i) {
+      EXPECT_EQ(r.thermo[i].kinetic, reference.thermo[i].kinetic) << "sample " << i;
+      EXPECT_EQ(r.thermo[i].potential, reference.thermo[i].potential) << "sample " << i;
+    }
+  };
+  for (int rep = 0; rep < 3; ++rep)
+    expect_same_thermo(run_distributed_md(4, sys, factory, sc, opts));
+
+  DistributedRunResult shm;
+  Mutex shm_mu;
+  const auto base = test_world::backend_config(TransportKind::Shm, 4, "thermo");
+  test_world::run_world(base, [&](Communicator& comm) {
+    auto r = run_distributed_md_rank(comm, sys, factory, sc, opts);
+    if (comm.rank() == 0) {
+      MutexLock lock(shm_mu);
+      shm = std::move(r);
+    }
+  });
+  expect_same_thermo(shm);
 }
 
 }  // namespace

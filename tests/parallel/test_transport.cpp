@@ -1,15 +1,9 @@
-// Cross-process transport backends (shm, tcp) exercised in-process: each
-// rank of the world runs on its own std::thread and constructs its own
-// ProcessGroup, exactly as separate processes would. That shape is real for
-// both backends — the shm segment is mapped once per group, the tcp mesh
-// connects over loopback — while keeping the test a single binary that
-// sanitizers can see end to end.
+// Cross-process transport backends (shm, tcp) exercised in-process through
+// the run_world harness (transport_harness.hpp): one ProcessGroup per rank
+// thread, exactly as separate processes would construct them.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,57 +12,13 @@
 #include "parallel/distributed_md.hpp"
 #include "parallel/minimpi.hpp"
 #include "parallel/transport.hpp"
+#include "transport_harness.hpp"
 
 namespace dp::par {
 namespace {
 
-/// Globally unique shm segment token: two test binaries under ctest -j must
-/// not collide in /dev/shm, and two tests in this binary must not reuse a
-/// segment that a crashed predecessor left behind.
-std::string unique_segment(const char* test) {
-  static std::atomic<int> counter{0};
-  std::ostringstream os;
-  os << "dp_test_" << test << "_" << ::getpid() << "_"
-     << counter.fetch_add(1, std::memory_order_relaxed);
-  return os.str();
-}
-
-TransportConfig backend_config(TransportKind kind, int world, const char* test) {
-  TransportConfig cfg;
-  cfg.kind = kind;
-  cfg.world = world;
-  cfg.timeout_seconds = 60.0;
-  if (kind == TransportKind::Shm) {
-    cfg.rendezvous = unique_segment(test);
-  } else {
-    std::ostringstream os;
-    os << "127.0.0.1:" << pick_free_tcp_port();
-    cfg.rendezvous = os.str();
-  }
-  return cfg;
-}
-
-/// Runs `fn(comm)` on every rank of a multi-process-shaped world, one
-/// ProcessGroup per thread. Exceptions become test failures (gtest cannot
-/// propagate them across threads).
-void run_world(const TransportConfig& base,
-               const std::function<void(Communicator&)>& fn) {
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(base.world));
-  for (int r = 0; r < base.world; ++r) {
-    threads.emplace_back([&, r] {
-      TransportConfig cfg = base;
-      cfg.rank = r;
-      try {
-        ProcessGroup pg(cfg);
-        fn(pg.comm());
-      } catch (const std::exception& e) {
-        ADD_FAILURE() << "rank " << r << ": " << e.what();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-}
+using test_world::backend_config;
+using test_world::run_world;
 
 /// P2p + collective smoke shared by both backends.
 void backend_smoke(const TransportConfig& base) {
@@ -148,6 +98,46 @@ TEST(Transport, ShmPointToPointAndCollectives) {
 TEST(Transport, TcpPointToPointAndCollectives) {
   backend_smoke(backend_config(TransportKind::Tcp, 2, "smoke2"));
   backend_smoke(backend_config(TransportKind::Tcp, 4, "smoke4"));
+}
+
+/// Contributions whose sum depends on the fold order: rank r sends
+/// kOrderSensitive rotated by r, so each element sees the four values in a
+/// different rank order. 1e16 + 1 rounds back to 1e16, so e.g.
+/// ((1e16 + 1) - 1e16) + 1 = 1 while (1e16 - 1e16) + 1 + 1 = 2.
+constexpr double kOrderSensitive[4] = {1e16, 1.0, -1e16, 1.0};
+
+std::vector<double> order_sensitive_contribution(int rank) {
+  std::vector<double> x(4);
+  const auto r = static_cast<std::size_t>(rank);
+  for (std::size_t k = 0; k < 4; ++k) x[k] = kOrderSensitive[(k + r) % 4];
+  return x;
+}
+
+/// ((x0 + x1) + x2) + x3 per element: the rank-order fold.
+std::vector<double> rank_order_sum() {
+  std::vector<double> sum = order_sensitive_contribution(0);
+  for (int r = 1; r < 4; ++r) {
+    const auto x = order_sensitive_contribution(r);
+    for (std::size_t k = 0; k < 4; ++k) sum[k] += x[k];
+  }
+  return sum;
+}
+
+void expect_rank_order_fold(Communicator& comm) {
+  const auto got = comm.allreduce_sum(order_sensitive_contribution(comm.rank()));
+  const auto want = rank_order_sum();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < want.size(); ++k) EXPECT_EQ(got[k], want[k]) << "element " << k;
+}
+
+TEST(Transport, AllreduceFoldsInRankOrder) {
+  // Not vacuous: the same four values folded in two rotations disagree.
+  const auto want = rank_order_sum();
+  ASSERT_NE(want[0], want[1]);
+  // Arrival order varies with the thread schedule, so repeat the world.
+  for (int rep = 0; rep < 200; ++rep) run_parallel(4, expect_rank_order_fold);
+  run_world(backend_config(TransportKind::Shm, 4, "fold"), expect_rank_order_fold);
+  run_world(backend_config(TransportKind::Tcp, 4, "fold"), expect_rank_order_fold);
 }
 
 /// The tentpole acceptance check, in-binary: an MD run over a cross-process

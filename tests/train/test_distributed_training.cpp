@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "../parallel/transport_harness.hpp"
+#include "common/thread_annotations.hpp"
+#include "parallel/minimpi.hpp"
+#include "parallel/transport.hpp"
+
 namespace dp::train {
 namespace {
 
@@ -31,6 +36,32 @@ double max_weight_diff(const DPModel& a, const DPModel& b) {
     }
   }
   return m;
+}
+
+/// Every weight and bias of every embedding and fitting layer, in a fixed
+/// order.
+std::vector<double> parameters(const DPModel& m) {
+  std::vector<double> p;
+  const auto append = [&p](const auto& layers) {
+    for (const auto& layer : layers) {
+      const auto& w = layer.weights();
+      p.insert(p.end(), w.data(), w.data() + w.size());
+      p.insert(p.end(), layer.bias().begin(), layer.bias().end());
+    }
+  };
+  for (int t = 0; t < m.config().ntypes; ++t) {
+    append(m.embedding(t).layers());
+    append(m.fitting(t).layers());
+  }
+  return p;
+}
+
+void expect_bitwise_equal(const DPModel& a, const DPModel& b) {
+  const auto pa = parameters(a);
+  const auto pb = parameters(b);
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    ASSERT_EQ(pa[i], pb[i]) << "parameter " << i;  // exact, not a tolerance
 }
 
 TEST(GradsFlatView, RoundTrip) {
@@ -78,8 +109,8 @@ TEST(DistributedTraining, TwoRanksMatchOneRankToReassociation) {
 }
 
 TEST(DistributedTraining, FourRanksMatchToRounding) {
-  // > 2 contributions: the allreduce's accumulation order varies, so only
-  // floating-point reassociation noise is allowed.
+  // Sharding reassociates the gradient sum (four shard partials folded in
+  // rank order vs one serial sum), so only reassociation noise is allowed.
   auto data = Dataset::lj_copper(8, 2, 0.12, 6);
   TrainConfig tc;
   tc.learning_rate = 3e-3;
@@ -88,6 +119,58 @@ TEST(DistributedTraining, FourRanksMatchToRounding) {
   train_distributed(1, m1, data, tc, 4);
   train_distributed(4, m4, data, tc, 4);
   EXPECT_LT(max_weight_diff(m1, m4), 1e-8);
+}
+
+TEST(DistributedTraining, FourRanksBitwiseRepeatable) {
+  // The gradient allreduce folds in rank order, never arrival order, so a
+  // repeated 4-rank run reproduces every parameter exactly.
+  auto data = Dataset::lj_copper(8, 2, 0.12, 6);
+  TrainConfig tc;
+  tc.learning_rate = 3e-3;
+  DPModel a(tcfg(), 7);
+  DPModel b(tcfg(), 7);
+  const auto ra = train_distributed(4, a, data, tc, 3);
+  const auto rb = train_distributed(4, b, data, tc, 3);
+  expect_bitwise_equal(a, b);
+  for (int e = 0; e < 3; ++e) EXPECT_EQ(ra.epoch_rmse[e], rb.epoch_rmse[e]);
+}
+
+/// 3-rank training through train_distributed_rank over a shm or tcp world;
+/// returns rank 0's trained replica.
+DPModel train_over(par::TransportKind kind, const DPModel& init, const Dataset& data,
+                   const TrainConfig& tc, int epochs, std::vector<double>& rmse) {
+  DPModel out = init;
+  Mutex out_mu;
+  const auto base = par::test_world::backend_config(kind, 3, "train");
+  par::test_world::run_world(base, [&](par::Communicator& comm) {
+    DPModel replica = init;
+    auto r = train_distributed_rank(comm, replica, data, tc, epochs);
+    if (comm.rank() == 0) {
+      MutexLock lock(out_mu);
+      out = replica;
+      rmse = std::move(r.epoch_rmse);
+    }
+  });
+  return out;
+}
+
+TEST(DistributedTraining, BitwiseAcrossTransports) {
+  // Same code over the same bytes: only the transport changes, and every
+  // backend folds the gradient allreduce in rank order.
+  auto data = Dataset::lj_copper(6, 2, 0.12, 14);
+  TrainConfig tc;
+  tc.learning_rate = 5e-3;
+  tc.pref_f = 10.0;
+  const DPModel init(tcfg(), 15);
+  DPModel threads = init;
+  const auto rt = train_distributed(3, threads, data, tc, 3);
+  for (const auto kind : {par::TransportKind::Shm, par::TransportKind::Tcp}) {
+    std::vector<double> rmse;
+    const DPModel other = train_over(kind, init, data, tc, 3, rmse);
+    expect_bitwise_equal(threads, other);
+    ASSERT_EQ(rmse.size(), rt.epoch_rmse.size());
+    for (std::size_t e = 0; e < rmse.size(); ++e) EXPECT_EQ(rmse[e], rt.epoch_rmse[e]);
+  }
 }
 
 TEST(DistributedTraining, LossDecreases) {
